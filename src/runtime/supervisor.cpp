@@ -176,6 +176,7 @@ Decision Supervisor::observe(const Sample& sample, double layout_gain) {
     case Action::kSuppressed: m.suppressed.inc(); break;
     case Action::kScrub: m.scrubs.inc(); break;
     case Action::kKeep: break;
+    case Action::kProbe: break;  // only NodeSupervisor probes; it counts them
   }
   return dec;
 }

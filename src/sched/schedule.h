@@ -38,8 +38,8 @@ struct Schedule {
   ScheduleKind kind = ScheduleKind::kStatic;
   std::size_t chunk = 1;  ///< used by kStaticChunk / kDynamic
 
-  [[nodiscard]] static Schedule static_block() { return {ScheduleKind::kStatic, 0}; }
-  [[nodiscard]] static Schedule static_chunk(std::size_t c) {
+  [[nodiscard]] static constexpr Schedule static_block() { return {ScheduleKind::kStatic, 0}; }
+  [[nodiscard]] static constexpr Schedule static_chunk(std::size_t c) {
     return {ScheduleKind::kStaticChunk, c};
   }
   [[nodiscard]] std::string describe() const;

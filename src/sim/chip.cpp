@@ -164,12 +164,12 @@ util::Expected<SimResult> Chip::try_run(Workload& workload) {
   mc_corrupted_.assign(cfg_.interleave.num_controllers(), 0);
   corruption_log_.clear();
   min_iteration_ = 0;
-  runnable_ = RunQueue{};
   parked_ = ParkQueue{};
   iter_ring_.assign(cfg_.lockstep_window + 2, 0);
 
   const unsigned n = num_threads();
   threads_.assign(n, ThreadState{});
+  runnable_.reset(n);
   alive_ = n;
   iter_ring_[0] = n;  // every thread starts at iteration 0
   straggle_.assign(n, 0);
@@ -183,7 +183,7 @@ util::Expected<SimResult> Chip::try_run(Workload& workload) {
     ts.batch.resize(256);
     ts.store_slot.assign(cfg_.calibration.store_buffer_entries, 0);
     expected_accesses += ts.program->total_accesses();
-    runnable_.emplace(0, t);
+    runnable_.set(t, 0);
   }
 
   // Fault state: epoch 0 of the schedule (the schedule-free case is a single
@@ -217,9 +217,9 @@ util::Expected<SimResult> Chip::try_run(Workload& workload) {
 
   std::uint64_t steps = 0;
   while (!runnable_.empty()) {
-    const auto [when, tid] = runnable_.top();
-    runnable_.pop();
-    // The queue pops the globally earliest thread, so once its clock passes
+    const arch::Cycles when = runnable_.top_time();
+    const unsigned tid = runnable_.top();
+    // The tree yields the globally earliest thread, so once its clock passes
     // a fault transition every later reservation is on the far side too:
     // applying the epoch here keeps the timeline consistent. Requests
     // already enqueued drain with the old parameters (in-flight traffic is
@@ -238,13 +238,29 @@ util::Expected<SimResult> Chip::try_run(Workload& workload) {
           " advertised accesses processed");
     }
     ThreadState& ts = threads_[tid];
+    // The thread's leaf keeps its old key while it steps; step() may re-arm
+    // other leaves (lockstep release) but never reads the tree.
     switch (step(ts)) {
       case StepOutcome::kRan:
-        runnable_.emplace(ts.time, tid);
+        // Clocks only grow, and a thread released during this step was
+        // re-armed at most at this thread's clock, so checking the stepped
+        // thread keeps every armed key inside the packed range. Past it, a
+        // key would lose its high bits and run out of order; a clock that
+        // went backwards wrapped the u64 (one thread gets the whole range).
+        if (ts.time > runnable_.max_time() || ts.time < when) {
+          obs::trace_instant("sim.clock_range", "sim", ts.time,
+                             runnable_.max_time());
+          return util::Expected<SimResult>::failure(
+              "Chip::run: clock exceeds scheduler range: thread " +
+              std::to_string(tid) + " reached cycle " + std::to_string(ts.time) +
+              " (limit " + std::to_string(runnable_.max_time()) + ")");
+        }
+        runnable_.set(tid, ts.time);
         break;
       case StepOutcome::kParked:
       case StepOutcome::kDone:
-        break;  // bookkeeping happened inside step()
+        runnable_.idle(tid);  // other bookkeeping happened inside step()
+        break;
     }
     // The runaway-program check is amortized: scanning thread counters every
     // step would cost O(threads) per access.
@@ -578,7 +594,7 @@ void Chip::advance_min_iteration(arch::Cycles now) {
     parked_.pop();
     ThreadState& ts = threads_[tid];
     ts.time = std::max(ts.time, now);
-    runnable_.emplace(ts.time, tid);
+    runnable_.set(tid, ts.time);
   }
 }
 

@@ -21,6 +21,15 @@
 // resources (thread-group issue slots, LS pipes, FPU, L2 banks, controllers)
 // are "earliest start" reservations. All arithmetic is integer cycles, so
 // runs are exactly reproducible.
+//
+// Event loop: a winner tree (sim/winner_tree.h) with one leaf per thread
+// yields the thread with the smallest (clock, thread id); equal clocks run
+// the lower id first. The loop applies any fault epoch and timeline sample
+// the clock has reached, checks the watchdog, and steps that thread by one
+// access. A stepped thread re-arms its leaf at its new clock; a thread that
+// parks at the lockstep gate or retires idles its leaf until a lockstep
+// release re-arms it. A clock beyond the tree's packed key range fails the
+// run ("clock exceeds scheduler range") instead of mis-ordering threads.
 
 #include <cstdint>
 #include <memory>
@@ -38,6 +47,7 @@
 #include "sim/faults.h"
 #include "sim/memory_controller.h"
 #include "sim/program.h"
+#include "sim/winner_tree.h"
 #include "util/expected.h"
 
 namespace mcopt::sim {
@@ -336,17 +346,14 @@ class Chip {
   obs::McTimeline timeline_;
   bool timeline_truncated_ = false;
 
-  // Event loop state: (time, thread) min-heap of runnable threads and
-  // (iteration, thread) min-heap of threads parked by the lockstep gate.
-  using RunQueue =
-      std::priority_queue<std::pair<arch::Cycles, unsigned>,
-                          std::vector<std::pair<arch::Cycles, unsigned>>,
-                          std::greater<>>;
+  // Event loop state: winner tree of runnable threads keyed by (time,
+  // thread) and (iteration, thread) min-heap of threads parked by the
+  // lockstep gate.
   using ParkQueue =
       std::priority_queue<std::pair<std::uint64_t, unsigned>,
                           std::vector<std::pair<std::uint64_t, unsigned>>,
                           std::greater<>>;
-  RunQueue runnable_;
+  WinnerTree runnable_;
   ParkQueue parked_;
   /// Lockstep bookkeeping: iteration values of running threads always lie in
   /// [min_iteration_, min_iteration_ + lockstep_window], so a ring of

@@ -152,8 +152,10 @@ util::Status FaultSchedule::check(const arch::InterleaveSpec& spec,
   // schedule re-runs this check (SimConfig::check sees only resolved ones).
   if (!has_relative() && status.ok()) {
     for (const Epoch& e : epochs(kNever)) {
+      // Starting from std::string("[") sidesteps a GCC 12 -Wrestrict false
+      // positive (GCC PR105329) on a char literal + std::string temporary.
       const std::string span =
-          "[" + std::to_string(e.begin) + ", " +
+          std::string("[") + std::to_string(e.begin) + ", " +
           (e.end == kNever ? std::string("inf") : std::to_string(e.end)) + ")";
       if (e.faults.surviving_controllers(spec).empty()) {
         status.note(

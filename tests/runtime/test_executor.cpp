@@ -362,7 +362,13 @@ TEST(Cancellation, AsyncCancelFieldMatchesReferenceAtIterationsDone) {
   ASSERT_EQ(reports.size(), 1u);
   const JobReport& rep = reports[0];
   if (rep.completed) EXPECT_EQ(rep.iterations_done, 200u);
-  // Wherever the cancel landed, the field is bit-identical to the last
+  // On a loaded host the cancel can land before the worker starts the body:
+  // the job is shed with no field at all.
+  if (rep.shed == ShedReason::kCancelled && rep.field_crc == 0) {
+    EXPECT_EQ(rep.iterations_done, 0u);
+    return;
+  }
+  // Wherever else the cancel landed, the field is bit-identical to the last
   // completed generation — never a half-written grid.
   EXPECT_EQ(rep.field_crc, reference_jacobi_crc(96, rep.iterations_done));
 }

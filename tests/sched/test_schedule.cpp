@@ -89,16 +89,15 @@ TEST_P(PartitionProperty, DisjointAndCovering) {
     ASSERT_EQ(covered[i], 1) << "iteration " << i;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cases, PartitionProperty,
-    ::testing::Values(PartitionCase{100, 7, Schedule::static_block()},
-                      PartitionCase{64, 64, Schedule::static_block()},
-                      PartitionCase{63, 64, Schedule::static_block()},
-                      PartitionCase{1000, 3, Schedule::static_chunk(1)},
-                      PartitionCase{1000, 3, Schedule::static_chunk(17)},
-                      PartitionCase{5, 8, Schedule::static_chunk(2)},
-                      PartitionCase{998, 64, {ScheduleKind::kDynamic, 4}},
-                      PartitionCase{1, 1, Schedule::static_block()}));
+// Constant-initialized, so every padding byte is zero. The test names print
+// the parameter's raw bytes and must not change from build to build.
+constexpr PartitionCase kPartitionCases[] = {
+    {100, 7, Schedule::static_block()},   {64, 64, Schedule::static_block()},
+    {63, 64, Schedule::static_block()},   {1000, 3, Schedule::static_chunk(1)},
+    {1000, 3, Schedule::static_chunk(17)}, {5, 8, Schedule::static_chunk(2)},
+    {998, 64, {ScheduleKind::kDynamic, 4}}, {1, 1, Schedule::static_block()}};
+
+INSTANTIATE_TEST_SUITE_P(Cases, PartitionProperty, ::testing::ValuesIn(kPartitionCases));
 
 TEST(Collapse2, RoundTrips) {
   const Collapse2 c{7, 13};

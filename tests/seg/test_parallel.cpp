@@ -60,11 +60,13 @@ TEST_P(ParScheduleTest, SumIndependentOfSchedule) {
   EXPECT_DOUBLE_EQ(par_sum(a, GetParam()), 2048.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Schedules, ParScheduleTest,
-                         ::testing::Values(sched::Schedule::static_block(),
-                                           sched::Schedule::static_chunk(1),
-                                           sched::Schedule::static_chunk(3),
-                                           sched::Schedule{sched::ScheduleKind::kDynamic, 2}));
+// Constant-initialized, so the padding after `kind` is zero. The test names
+// print the parameter's raw bytes and must not change from build to build.
+constexpr sched::Schedule kSchedules[] = {
+    sched::Schedule::static_block(), sched::Schedule::static_chunk(1),
+    sched::Schedule::static_chunk(3), sched::Schedule{sched::ScheduleKind::kDynamic, 2}};
+
+INSTANTIATE_TEST_SUITE_P(Schedules, ParScheduleTest, ::testing::ValuesIn(kSchedules));
 
 }  // namespace
 }  // namespace mcopt::seg

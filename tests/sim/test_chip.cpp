@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "kernels/stream.h"
+#include "sim/faults.h"
 #include "trace/stream_program.h"
 #include "trace/virtual_arena.h"
 
@@ -259,6 +263,40 @@ TEST(Chip, MixedEmptyAndBusyThreadsNoDeadlock) {
   Chip chip(cfg, arch::equidistant_placement(2, cfg.topology));
   const SimResult res = chip.run(wl);
   EXPECT_EQ(res.accesses, 256u);
+}
+
+// A triad on `threads` strands whose thread 0 loses 2^53 cycles (the largest
+// lag the fault grammar accepts) on every access.
+util::Expected<SimResult> run_lagged_triad(unsigned threads, std::size_t n) {
+  SimConfig cfg;
+  cfg.faults = FaultSpec::parse("strand0:lag=9007199254740992").value();
+  Workload wl = kernels::make_stream_workload(
+      kernels::StreamOp::kTriad,
+      kernels::common_block_bases(arch::Addr{1} << 32, n, 0), n, threads,
+      sched::Schedule::static_block());
+  Chip chip(cfg, arch::equidistant_placement(threads, cfg.topology));
+  return chip.try_run(wl);
+}
+
+// At 64 strands the scheduler packs a clock into 58 bits, which thread 0
+// leaves within 32 accesses: the run must fail with a typed diagnostic, not
+// schedule threads out of order.
+TEST(Chip, ClockPastSchedulerRangeIsReported) {
+  const auto res = run_lagged_triad(64, 64 * 64);  // 192 accesses per thread
+  ASSERT_FALSE(res);
+  EXPECT_NE(res.error().message.find("clock exceeds scheduler range"),
+            std::string::npos)
+      << res.error().message;
+}
+
+// One thread gets the whole 64-bit key, so its clock wraps before it leaves
+// the range: a clock that runs backwards is reported the same way.
+TEST(Chip, ClockWrapIsReported) {
+  const auto res = run_lagged_triad(1, 1024);  // 3072 accesses * 2^53 > 2^64
+  ASSERT_FALSE(res);
+  EXPECT_NE(res.error().message.find("clock exceeds scheduler range"),
+            std::string::npos)
+      << res.error().message;
 }
 
 }  // namespace
