@@ -32,6 +32,13 @@ Checks (stdlib only, no third-party deps):
               obs::SloMonitor export: window/threshold config sanity and
               per-entry invariants (missed <= total, burns >= 0, alerts
               only where misses exist).
+  --bench-perf-json
+              BENCH_perf.json, the wall-clock trajectory written by
+              scripts/bench_perf_row.py: every row carries the host
+              fingerprint, its seeds, a median/quartile pair for every
+              (end-to-end metric, workload) of BENCHMARK.json with
+              consistent delta and no "worse" verdict, the digests of every
+              (workload, seed), and a met claim when it makes one.
 
 Exit code 0 when every provided artifact passes; 1 with a message per
 failure otherwise.
@@ -40,7 +47,9 @@ failure otherwise.
 import argparse
 import csv
 import json
+import re
 import sys
+from pathlib import Path
 
 FAILURES = []
 
@@ -514,6 +523,103 @@ def check_burn_json(path):
               f"{alerts} alerts fired, target={doc['target']}")
 
 
+BENCH_PERF_ROW_KEYS = ("change", "date", "seeds", "run_seconds", "host",
+                       "metrics", "digests")
+BENCH_PERF_HOST_KEYS = ("nproc", "cpu_model", "compiler", "build_type")
+BENCH_PERF_VERDICTS = ("better", "unchanged", "unresolved")
+
+
+def check_bench_perf_row(where, row, spec):
+    for key in BENCH_PERF_ROW_KEYS:
+        if key not in row:
+            fail(f"{where}: missing '{key}'")
+            return
+    host = row["host"]
+    for key in BENCH_PERF_HOST_KEYS:
+        if not host.get(key):
+            fail(f"{where}: host fingerprint lacks '{key}'")
+    seeds = row["seeds"]
+    if (not isinstance(seeds, list) or not seeds
+            or len(set(seeds)) != len(seeds)
+            or not all(isinstance(x, int) for x in seeds)):
+        fail(f"{where}: seeds must be a non-empty list of distinct ints")
+        return
+    workloads = sorted(row["digests"])
+    known = {w["name"] for w in spec["workloads"]}
+    if not workloads or not set(workloads) <= known:
+        fail(f"{where}: digests name workloads {workloads}, expected a "
+             f"subset of {sorted(known)}")
+        return
+    for w in workloads:
+        per_seed = row["digests"][w]
+        if sorted(per_seed) != sorted(str(x) for x in seeds):
+            fail(f"{where}: {w} digests cover seeds {sorted(per_seed)}, "
+                 f"expected {seeds}")
+        for seed, digest in per_seed.items():
+            if not digest or not all(
+                    isinstance(v, str) and re.fullmatch(r"0x[0-9a-f]+", v)
+                    for v in digest.values()):
+                fail(f"{where}: {w} seed {seed} digests are not hex: {digest}")
+    seen = {}
+    for m in row["metrics"]:
+        seen[(m.get("metric"), m.get("workload"))] = m
+    for entry in spec["end_to_end"]:
+        for w in workloads:
+            m = seen.get((entry["name"], w))
+            label = f"{where}: {entry['name']} on {w}"
+            if m is None:
+                fail(f"{label}: missing")
+                continue
+            if (m["unit"], m["better"], m["bound"]) != (
+                    entry["unit"], entry["better"], entry["bound"]):
+                fail(f"{label}: unit/better/bound differ from BENCHMARK.json")
+            for side in ("base", "cand"):
+                st = m[side]
+                if not st["n"] >= 1 or not st["q1"] <= st["median"] <= st["q3"]:
+                    fail(f"{label}: {side} quartiles out of order: {st}")
+            b, c = m["base"]["median"], m["cand"]["median"]
+            delta = (c - b) / b * 100.0 if b else float("nan")
+            if not abs(delta - m["delta_pct"]) <= 1e-6 * max(1.0, abs(delta)):
+                fail(f"{label}: delta_pct {m['delta_pct']} does not match "
+                     f"the medians ({delta})")
+            if m["verdict"] not in BENCH_PERF_VERDICTS:
+                fail(f"{label}: verdict {m['verdict']!r}")
+    claim = row.get("claim")
+    if claim is not None:
+        found = re.match(r"(\d+) wins / (\d+) losses over (\d+) seed pairs",
+                         claim.get("detail", ""))
+        if (not claim.get("met") or found is None
+                or int(found.group(1)) < 0.9 * int(found.group(3))
+                or (claim["metric"], claim["workload"]) not in seen):
+            fail(f"{where}: claim {claim} is not met")
+
+
+def check_bench_perf_json(path):
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        fail(f"{path}: not readable JSON: {e}")
+        return
+    if doc.get("schema") != "mcopt-bench-perf/1":
+        fail(f"{path}: schema is {doc.get('schema')!r}, expected "
+             f"'mcopt-bench-perf/1'")
+        return
+    rows = doc.get("rows")
+    if not isinstance(rows, list) or not rows:
+        fail(f"{path}: no rows")
+        return
+    root = Path(__file__).resolve().parent.parent
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    before = len(FAILURES)
+    for i, row in enumerate(rows):
+        check_bench_perf_row(f"{path}: rows[{i}]", row, spec)
+    if len(FAILURES) == before:
+        last = rows[-1]
+        print(f"ok: {path}: {len(rows)} rows; last: {len(last['metrics'])} "
+              f"metric rows over seeds {last['seeds']}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trace", help="Chrome trace JSON to validate")
@@ -530,6 +636,8 @@ def main():
                     help="obs::Attribution JSON export to validate")
     ap.add_argument("--burn-json",
                     help="obs::SloMonitor burn-gauge JSON export to validate")
+    ap.add_argument("--bench-perf-json",
+                    help="BENCH_perf.json wall-clock trajectory to validate")
     ap.add_argument("--expect-family", action="append", default=[],
                     help="metric family that must appear (repeatable)")
     ap.add_argument("--allow-empty-trace", action="store_true",
@@ -538,10 +646,10 @@ def main():
     if not (args.trace or args.metrics or args.timeline
             or args.recovery_json or args.recovery_csv
             or args.durability_json or args.attribution_json
-            or args.burn_json):
+            or args.burn_json or args.bench_perf_json):
         ap.error("nothing to check: pass --trace, --metrics, --timeline, "
                  "--recovery-json, --recovery-csv, --durability-json, "
-                 "--attribution-json, or --burn-json")
+                 "--attribution-json, --burn-json, or --bench-perf-json")
     if args.trace:
         check_trace(args.trace, expect_events=not args.allow_empty_trace)
     if args.metrics:
@@ -559,6 +667,8 @@ def main():
         check_attribution_json(args.attribution_json)
     if args.burn_json:
         check_burn_json(args.burn_json)
+    if args.bench_perf_json:
+        check_bench_perf_json(args.bench_perf_json)
     return 1 if FAILURES else 0
 
 

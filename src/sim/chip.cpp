@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/trace.h"
@@ -20,6 +21,14 @@ util::Status SimConfig::check() const {
   }
   if (topology.l2.line_bytes != interleave.line_size())
     status.note("SimConfig: L2 line size must match interleave line size");
+  // The cache model keeps one dirty bit per way in a u64 mask.
+  for (const auto& [name, geo] : {std::pair{"L1D", topology.l1d},
+                                  std::pair{"L2", topology.l2}})
+    if (geo.associativity > Cache::kMaxAssociativity)
+      status.note("SimConfig: " + std::string(name) + " associativity " +
+                  std::to_string(geo.associativity) + " exceeds the cache "
+                  "model's " + std::to_string(Cache::kMaxAssociativity) +
+                  "-way limit");
   if (interleave.num_banks() < interleave.num_controllers())
     status.note("SimConfig: fewer banks than controllers");
   if (model_lockstep && lockstep_window == 0)
@@ -145,6 +154,11 @@ util::Expected<SimResult> Chip::try_run(Workload& workload) {
   l1_.clear();
   for (unsigned c = 0; c < cfg_.topology.num_cores; ++c)
     l1_.emplace_back(cfg_.topology.l1d, Cache::WritePolicy::kWriteThrough);
+  // Addresses at or past 2^addr_bits do not fit a modeled cache's tags.
+  const unsigned addr_bits =
+      cfg_.model_l1 ? std::min(l2_->addr_bits(), l1_.front().addr_bits())
+                    : l2_->addr_bits();
+  addr_overflow_ = addr_bits >= 64 ? 0 : ~arch::Addr{0} << addr_bits;
   mcs_.clear();
   for (unsigned m = 0; m < cfg_.interleave.num_controllers(); ++m)
     mcs_.emplace_back(cfg_.calibration, cfg_.interleave, 1.0);
@@ -261,6 +275,16 @@ util::Expected<SimResult> Chip::try_run(Workload& workload) {
       case StepOutcome::kDone:
         runnable_.idle(tid);  // other bookkeeping happened inside step()
         break;
+      case StepOutcome::kAddrRange: {
+        // The next access would need a tag wider than the caches' 32 bits;
+        // truncating it would alias another line.
+        const arch::Addr addr = ts.batch[ts.batch_pos].addr;
+        obs::trace_instant("sim.addr_range", "sim", addr, addr_bits);
+        return util::Expected<SimResult>::failure(
+            "Chip::run: address exceeds cache tag range: thread " +
+            std::to_string(tid) + " accessed address " + std::to_string(addr) +
+            " (tags cover addresses below 2^" + std::to_string(addr_bits) + ")");
+      }
     }
     // The runaway-program check is amortized: scanning thread counters every
     // step would cost O(threads) per access.
@@ -625,6 +649,8 @@ Chip::StepOutcome Chip::step(ThreadState& ts) {
     }
   }
 
+  if ((ts.batch[ts.batch_pos].addr & addr_overflow_) != 0)
+    return StepOutcome::kAddrRange;
   const Access a = ts.batch[ts.batch_pos++];
   // Straggler-strand fault: the thread loses extra cycles on every access.
   ts.time += straggle_[ts.id];

@@ -29,7 +29,10 @@
 // access. A stepped thread re-arms its leaf at its new clock; a thread that
 // parks at the lockstep gate or retires idles its leaf until a lockstep
 // release re-arms it. A clock beyond the tree's packed key range fails the
-// run ("clock exceeds scheduler range") instead of mis-ordering threads.
+// run ("clock exceeds scheduler range") instead of mis-ordering threads, and
+// an access whose address does not fit the caches' 32-bit tags (2^43 with
+// the T2 L1D modeled, 2^50 for the L2 alone) fails it with "address exceeds
+// cache tag range" instead of aliasing another line.
 
 #include <cstdint>
 #include <memory>
@@ -258,7 +261,7 @@ class Chip {
   struct ThreadState;
   struct CoreState;
 
-  enum class StepOutcome { kRan, kParked, kDone };
+  enum class StepOutcome { kRan, kParked, kDone, kAddrRange };
 
   /// Processes the next access of thread `t` (or parks/retires it).
   StepOutcome step(ThreadState& t);
@@ -300,6 +303,8 @@ class Chip {
   // Shared structures rebuilt per run():
   std::unique_ptr<Cache> l2_;
   std::vector<Cache> l1_;                  // per core
+  // Address bits no modeled cache can tag (0 = every address fits).
+  arch::Addr addr_overflow_ = 0;
   std::vector<MemoryController> mcs_;      // per controller
   std::vector<unsigned> mc_remap_;         // fault remap (identity if healthy)
   // NUMA routing state, recomputed by apply_faults() (empty when disabled):

@@ -9,6 +9,23 @@
 // latency, which is where the peer's memory occupancy is folded in — so the
 // node's makespan is the slowest socket's makespan. Everything stays integer
 // cycles and exactly reproducible.
+//
+// Because the sockets share nothing while they run, run() simulates them
+// concurrently: one Chip per busy socket, on the calling thread plus the
+// helpers of one process-wide fork-join pool. Sockets are claimed from a
+// shared counter and each writes only its own result slot; the results are
+// then folded in socket order, so a NodeResult never depends on which thread
+// ran which socket. Every busy socket's run finishes even when another
+// fails, and the failure reported is the lowest failing socket's
+// ("socket <s>: <chip diagnostic>", or its exception, rethrown).
+//
+// The pool is created on the first run with two or more busy sockets
+// (processes that never run such a Node start no thread) and lives until
+// the process exits; its helpers are never joined. It has min(CPUs in the
+// process affinity mask, kMaxSockets) - 1 helpers. A caller that finds the
+// pool busy (another thread's run holds it) runs its sockets one after
+// another on its own thread, and so does a forked child, which inherits no
+// helpers; either way it is the same per-socket function.
 
 #include <vector>
 
@@ -79,9 +96,11 @@ class Node {
 
   [[nodiscard]] const NodeConfig& config() const noexcept { return cfg_; }
 
-  /// Runs one workload per socket to completion. workloads.size() must equal
-  /// the socket count; each socket's threads are placed equidistantly on its
-  /// own chip. Throws std::runtime_error on a watchdog abort.
+  /// Runs one workload per socket to completion, busy sockets concurrently
+  /// (see the header comment). workloads.size() must equal the socket count;
+  /// each socket's threads are placed equidistantly on its own chip. Throws
+  /// std::runtime_error on a watchdog abort. Several threads may run nodes
+  /// at once, each on its own workloads.
   NodeResult run(std::vector<Workload>& workloads);
 
   /// Like run(), but reports watchdog/guardrail aborts as a diagnostic.

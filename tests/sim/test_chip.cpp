@@ -5,6 +5,7 @@
 #include <string>
 
 #include "kernels/stream.h"
+#include "obs/trace.h"
 #include "sim/faults.h"
 #include "trace/stream_program.h"
 #include "trace/virtual_arena.h"
@@ -297,6 +298,77 @@ TEST(Chip, ClockWrapIsReported) {
   EXPECT_NE(res.error().message.find("clock exceeds scheduler range"),
             std::string::npos)
       << res.error().message;
+}
+
+// A triad whose arrays are packed back to back at `base`.
+util::Expected<SimResult> run_triad_at(arch::Addr base, std::size_t n,
+                                       bool model_l1 = true) {
+  SimConfig cfg;
+  cfg.model_l1 = model_l1;
+  Workload wl = kernels::make_stream_workload(
+      kernels::StreamOp::kTriad, kernels::common_block_bases(base, n, 0), n, 8,
+      sched::Schedule::static_block());
+  Chip chip(cfg, arch::equidistant_placement(8, cfg.topology));
+  return chip.try_run(wl);
+}
+
+constexpr std::size_t kRangeN = 4096;
+constexpr arch::Addr kL1TagLimit = arch::Addr{1} << 43;  // 128 sets, 16 B lines
+constexpr arch::Addr kL2TagLimit = arch::Addr{1} << 50;  // 4096 sets, 64 B lines
+
+// The L1D's 32-bit tags cover addresses below 2^43: a triad there must fail
+// with a typed diagnostic and a trace instant, never alias a truncated tag.
+TEST(Chip, AddressPastTagRangeIsReported) {
+  obs::TraceRecorder& rec = obs::TraceRecorder::instance();
+  rec.disable();
+  rec.reset();
+  rec.enable(1 << 10);
+  const auto res = run_triad_at(kL1TagLimit, kRangeN);
+  rec.disable();
+  ASSERT_FALSE(res);
+  EXPECT_NE(res.error().message.find("address exceeds cache tag range"),
+            std::string::npos)
+      << res.error().message;
+  bool instant = false;
+  for (const obs::TraceEvent& e : rec.snapshot())
+    instant = instant || (std::string(e.name) == "sim.addr_range" &&
+                          e.a >= kL1TagLimit && e.b == 43);
+  rec.reset();
+  EXPECT_TRUE(instant);
+}
+
+TEST(Chip, TriadEndingBelowTagRangeRuns) {
+  const auto res = run_triad_at(kL1TagLimit - 3 * kRangeN * sizeof(double),
+                                kRangeN);
+  ASSERT_TRUE(res) << res.error().message;
+  EXPECT_EQ(res.value().accesses, 3 * kRangeN);  // 2 loads + 1 store
+}
+
+// Without the L1D only the L2's tags bound the address space: 2^50.
+TEST(Chip, TagRangeWithoutL1IsTheL2s) {
+  const auto below = run_triad_at(kL1TagLimit, kRangeN, /*model_l1=*/false);
+  ASSERT_TRUE(below) << below.error().message;
+  EXPECT_EQ(below.value().accesses, 3 * kRangeN);
+  const auto last = run_triad_at(kL2TagLimit - 3 * kRangeN * sizeof(double),
+                                 kRangeN, /*model_l1=*/false);
+  ASSERT_TRUE(last) << last.error().message;
+  const auto past = run_triad_at(kL2TagLimit, kRangeN, /*model_l1=*/false);
+  ASSERT_FALSE(past);
+  EXPECT_NE(past.error().message.find("address exceeds cache tag range"),
+            std::string::npos)
+      << past.error().message;
+}
+
+TEST(SimConfig, RejectsAssociativityWiderThanTheDirtyMask) {
+  SimConfig cfg;
+  cfg.topology.l2 = arch::CacheGeometry{4 * 1024 * 1024, 64, 128};
+  const util::Status status = cfg.check();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.error().message.find("L2 associativity 128"),
+            std::string::npos)
+      << status.error().message;
+  cfg.topology.l2 = arch::CacheGeometry{4 * 1024 * 1024, 64, 64};
+  EXPECT_TRUE(cfg.check().ok());
 }
 
 }  // namespace
