@@ -912,12 +912,9 @@ int run_numa_chaos(const std::vector<std::uint64_t>& seeds, unsigned sockets,
   // sequence in lockstep (convoy), which the analytic model deliberately
   // does not capture — and an over-predicted packed placement would make
   // the migration gate commit losing moves.
-  const std::size_t period =
-      arch::AddressMap(base.node.sim.interleave).spec().period_bytes();
-  const auto chunk_bytes = [&](unsigned t) {
-    return ((params.n + t - 1) / t) * sizeof(double);
-  };
-  while (base.threads > 2 && chunk_bytes(base.threads) % period == 0)
+  const arch::AddressMap map(base.node.sim.interleave);
+  while (base.threads > 2 &&
+         bench::convoy_resonant(params.n, base.threads, map))
     --base.threads;
   base.slices = params.slices;
 

@@ -142,25 +142,9 @@ SupervisedOutcome run_supervised(const bench::NumaSweepParams& params,
     const auto& last = sup.replan_log.back();
     out.tail_gbs = sup.tail_bandwidth(last.at, cfg.sim.topology.clock_ghz) /
                    1e9;
-    std::vector<std::vector<sim::AnalyticStream>> streams(params.sockets);
-    std::vector<unsigned> threads(params.sockets, 0);
-    for (const runtime::NodeJob& job : last.jobs) {
-      const std::vector<sim::AnalyticStream> logical = {{job.bases[0], true},
-                                                        {job.bases[1], false},
-                                                        {job.bases[2], false},
-                                                        {job.bases[3], false}};
-      const auto physical = sim::expand_rfo(logical);
-      auto& dst = streams[job.compute_socket];
-      dst.insert(dst.end(), physical.begin(), physical.end());
-      threads[job.compute_socket] += params.threads;
-    }
-    const arch::AddressMap map(cfg.sim.interleave);
     out.survivor_model_gbs =
-        sim::estimate_node_bandwidth(streams, threads, cfg.sim.calibration,
-                                     map, cfg.node,
-                                     cfg.sim.topology.clock_ghz,
-                                     sup.final_diagnosis)
-            .bandwidth /
+        runtime::placement_bandwidth(last.jobs, params.threads, params.n,
+                                     cfg, sup.final_diagnosis) /
         1e9;
     if (out.survivor_model_gbs > 0.0)
       out.convergence = out.tail_gbs / out.survivor_model_gbs;

@@ -20,7 +20,6 @@
 // full-healthy model, beats the plateau tail, and no flap period thrashes.
 
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -28,40 +27,11 @@
 #include "common.h"
 #include "numa_common.h"
 #include "runtime/numa_loop.h"
-#include "sim/analytic.h"
 #include "sim/fault_schedule.h"
 
 namespace {
 
 using namespace mcopt;
-
-/// Analytic node bandwidth of a shard placement, pricing exactly as the
-/// loop's break-even gate does (proportional strand share per shard).
-double placement_model_gbs(const std::vector<runtime::NodeJob>& jobs,
-                           unsigned threads, std::size_t n,
-                           const sim::NodeConfig& cfg,
-                           const sim::FaultSpec& faults) {
-  const arch::AddressMap map(cfg.sim.interleave);
-  std::vector<std::vector<sim::AnalyticStream>> streams(cfg.node.num_sockets);
-  std::vector<unsigned> strands(cfg.node.num_sockets, 0);
-  for (const runtime::NodeJob& job : jobs) {
-    const std::vector<sim::AnalyticStream> logical = {{job.bases[0], true},
-                                                      {job.bases[1], false},
-                                                      {job.bases[2], false},
-                                                      {job.bases[3], false}};
-    const auto physical = sim::expand_rfo(logical);
-    auto& dst = streams[job.compute_socket];
-    dst.insert(dst.end(), physical.begin(), physical.end());
-    const double frac = static_cast<double>(job.count) / static_cast<double>(n);
-    strands[job.compute_socket] += std::max<unsigned>(
-        1, static_cast<unsigned>(std::lround(threads * frac)));
-  }
-  return sim::estimate_node_bandwidth(streams, strands, cfg.sim.calibration,
-                                      map, cfg.node,
-                                      cfg.sim.topology.clock_ghz, faults)
-             .bandwidth /
-         1e9;
-}
 
 struct OutageOutcome {
   std::string schedule;
@@ -157,8 +127,9 @@ OutageOutcome run_outage(const runtime::NodeLoopConfig& base, std::size_t n,
   if (!plateau.replan_log.empty())
     out.plateau_tail_gbs =
         plateau.tail_bandwidth(plateau.replan_log.back().at, ghz) / 1e9;
-  out.full_model_gbs = placement_model_gbs(sup.final_jobs, cfg.threads, n,
-                                           cfg.node, sim::FaultSpec{});
+  out.full_model_gbs = runtime::placement_bandwidth(sup.final_jobs, cfg.threads,
+                                                    n, cfg.node, {}) /
+                       1e9;
   if (out.full_model_gbs > 0.0)
     out.convergence = out.tail_gbs / out.full_model_gbs;
   return out;

@@ -81,6 +81,9 @@ struct Calibration {
 /// Convert a cycle count at `clock_ghz` into seconds.
 [[nodiscard]] double cycles_to_seconds(Cycles c, double clock_ghz) noexcept;
 
+/// Convert seconds at `clock_ghz` into cycles, rounded up to whole cycles.
+[[nodiscard]] Cycles seconds_to_cycles(double seconds, double clock_ghz) noexcept;
+
 /// Bandwidth in bytes/second for `bytes` moved in `c` cycles.
 [[nodiscard]] double bandwidth_bytes_per_s(std::uint64_t bytes, Cycles c,
                                            double clock_ghz) noexcept;

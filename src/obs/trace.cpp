@@ -22,7 +22,7 @@ namespace mcopt::obs {
 namespace {
 
 /// One ring slot: 11 atomic words. Every field is a std::atomic written
-/// with relaxed stores between the seqlock's odd/even sequence stores, so a
+/// with release stores between the seqlock's odd/even sequence stores, so a
 /// concurrent reader can never tear a value or race (TSan-clean by
 /// construction). Slot k of event index i carries seq == 2*i + 2 when
 /// committed; an odd seq marks an in-flight write.
@@ -204,26 +204,29 @@ void TraceRecorder::record(Phase phase, const char* name, const char* cat,
   }
   const std::uint64_t idx = buf->head.load(std::memory_order_relaxed);
   Slot& s = buf->slots[idx & buf->mask];
-  // Seqlock write protocol: mark in-flight (odd), fence so the mark is
-  // ordered before the payload, write the payload relaxed, publish (even,
-  // release). A reader that validates the same even sequence before and
-  // after its payload loads can never observe a torn event.
+  // Seqlock write protocol: mark in-flight (odd), write the payload with
+  // release stores, publish (even, release). Each release payload store
+  // orders the odd mark before it, so a reader whose acquire load sees any
+  // payload word also sees the mark when it re-checks the sequence. A
+  // reader that validates the same even sequence before and after its
+  // payload loads can never observe a torn event. (No fences: TSan does not
+  // model them, and on x86-64 release stores and acquire loads are plain
+  // moves.)
   s.seq.store(2 * idx + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  s.ts.store(trace_now_ns(), std::memory_order_relaxed);
+  s.ts.store(trace_now_ns(), std::memory_order_release);
   s.name.store(reinterpret_cast<std::uintptr_t>(name),
-               std::memory_order_relaxed);
-  s.cat.store(reinterpret_cast<std::uintptr_t>(cat), std::memory_order_relaxed);
-  s.a.store(a, std::memory_order_relaxed);
-  s.b.store(b, std::memory_order_relaxed);
+               std::memory_order_release);
+  s.cat.store(reinterpret_cast<std::uintptr_t>(cat), std::memory_order_release);
+  s.a.store(a, std::memory_order_release);
+  s.b.store(b, std::memory_order_release);
   const std::size_t len =
       msg == nullptr ? 0 : std::min(msg_len, kEventMsgBytes);
   s.meta.store(static_cast<std::uint64_t>(phase) |
                    (static_cast<std::uint64_t>(len) << 8),
-               std::memory_order_relaxed);
+               std::memory_order_release);
   for (std::size_t w = 0; w < s.msg.size(); ++w)
     s.msg[w].store(len == 0 ? 0 : pack_words(msg, len, w),
-                   std::memory_order_relaxed);
+                   std::memory_order_release);
   s.seq.store(2 * idx + 2, std::memory_order_release);
   buf->head.store(idx + 1, std::memory_order_release);
 }
@@ -244,19 +247,20 @@ std::vector<TraceEvent> TraceRecorder::snapshot() const {
         seqlock_retries_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
+      // Acquire payload loads keep the re-check below after every one of
+      // them (the fence-free half of the seqlock protocol in record()).
       TraceEvent ev;
-      ev.ts_ns = s.ts.load(std::memory_order_relaxed);
+      ev.ts_ns = s.ts.load(std::memory_order_acquire);
       ev.name = reinterpret_cast<const char*>(
-          s.name.load(std::memory_order_relaxed));
+          s.name.load(std::memory_order_acquire));
       ev.cat =
-          reinterpret_cast<const char*>(s.cat.load(std::memory_order_relaxed));
-      ev.a = s.a.load(std::memory_order_relaxed);
-      ev.b = s.b.load(std::memory_order_relaxed);
-      const std::uint64_t meta = s.meta.load(std::memory_order_relaxed);
+          reinterpret_cast<const char*>(s.cat.load(std::memory_order_acquire));
+      ev.a = s.a.load(std::memory_order_acquire);
+      ev.b = s.b.load(std::memory_order_acquire);
+      const std::uint64_t meta = s.meta.load(std::memory_order_acquire);
       std::array<std::uint64_t, kEventMsgBytes / 8> words{};
       for (std::size_t w = 0; w < words.size(); ++w)
-        words[w] = s.msg[w].load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
+        words[w] = s.msg[w].load(std::memory_order_acquire);
       if (s.seq.load(std::memory_order_relaxed) != want) {
         seqlock_retries_.fetch_add(1, std::memory_order_relaxed);
         continue;
@@ -494,15 +498,14 @@ int TraceRecorder::dump_to_fd(int fd) const noexcept {
         seqlock_retries_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      const std::uint64_t ts = s.ts.load(std::memory_order_relaxed);
+      const std::uint64_t ts = s.ts.load(std::memory_order_acquire);
       const char* name =
-          reinterpret_cast<const char*>(s.name.load(std::memory_order_relaxed));
+          reinterpret_cast<const char*>(s.name.load(std::memory_order_acquire));
       const char* cat =
-          reinterpret_cast<const char*>(s.cat.load(std::memory_order_relaxed));
-      const std::uint64_t a = s.a.load(std::memory_order_relaxed);
-      const std::uint64_t b = s.b.load(std::memory_order_relaxed);
-      const std::uint64_t meta = s.meta.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
+          reinterpret_cast<const char*>(s.cat.load(std::memory_order_acquire));
+      const std::uint64_t a = s.a.load(std::memory_order_acquire);
+      const std::uint64_t b = s.b.load(std::memory_order_acquire);
+      const std::uint64_t meta = s.meta.load(std::memory_order_acquire);
       if (s.seq.load(std::memory_order_relaxed) != want) {
         seqlock_retries_.fetch_add(1, std::memory_order_relaxed);
         continue;

@@ -9,7 +9,7 @@
 //    of 128-byte slots, allocated once on the thread's first event and
 //    never freed (so a fatal-signal handler can walk them safely);
 //  * TSan-clean with zero suppressions: every slot word is a std::atomic
-//    written with relaxed stores and published by a seqlock-style sequence
+//    written with release stores and published by a seqlock-style sequence
 //    number (odd = in progress, even = committed), so a concurrent reader
 //    never races — it re-checks the sequence and skips torn slots;
 //  * flight-recorder semantics: the ring overwrites its oldest events and

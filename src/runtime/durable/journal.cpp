@@ -221,23 +221,34 @@ JournalWriter::~JournalWriter() {
 util::Expected<std::unique_ptr<JournalWriter>> JournalWriter::create(
     const std::string& path, std::uint64_t user) {
   using Result = util::Expected<std::unique_ptr<JournalWriter>>;
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+  // The header is written and made durable under a temporary name, then
+  // renamed into place (the save_checkpoint discipline): a crash at any
+  // point leaves either no journal (a fresh start; nothing was acked) or a
+  // journal with a whole header, never a headerless file that every later
+  // open would refuse. The stream stays open across the rename and appends
+  // to the published file.
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
-    const util::Status s = errno_failure("cannot create", path);
+    const util::Status s = errno_failure("cannot create", tmp);
     return Result::failure(s.error().message);
   }
   const std::vector<std::uint8_t> header = encode_header(user);
   if (std::fwrite(header.data(), 1, header.size(), f) != header.size()) {
     std::fclose(f);
-    std::remove(path.c_str());
-    const util::Status s = errno_failure("short header write to", path);
+    std::remove(tmp.c_str());
+    const util::Status s = errno_failure("short header write to", tmp);
     return Result::failure(s.error().message);
   }
-  // The header is durable before the journal exists for callers: a crash
-  // after create() must recover to "empty journal", never "not a journal".
-  if (const util::Status s = flush_and_sync(f, path); !s.ok()) {
+  if (const util::Status s = flush_and_sync(f, tmp); !s.ok()) {
     std::fclose(f);
-    std::remove(path.c_str());
+    std::remove(tmp.c_str());
+    return Result::failure(s.error().message);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    const util::Status s = errno_failure("cannot rename into", path);
+    std::fclose(f);
+    std::remove(tmp.c_str());
     return Result::failure(s.error().message);
   }
   JournalMetrics::get().bytes.inc(header.size());

@@ -209,8 +209,11 @@ struct SnapshotMarkRecord {
 /// crash at the same point, which is exactly what the recovery tests rely on.
 class JournalWriter {
  public:
-  /// Creates a fresh journal at `path` (truncating any existing file) and
-  /// makes the header durable before returning.
+  /// Creates a fresh journal at `path` (replacing any existing file) and
+  /// makes the header durable before returning. The header is fsynced under
+  /// `path + ".tmp"` and renamed into place, so a crash inside create()
+  /// leaves no journal or a whole header, never a truncated one; a leftover
+  /// temp file is overwritten by the next create().
   [[nodiscard]] static util::Expected<std::unique_ptr<JournalWriter>> create(
       const std::string& path, std::uint64_t user);
 

@@ -27,6 +27,24 @@ StreamShape shape_of(JobKind kind) {
   throw std::invalid_argument("pricing: unknown job kind");
 }
 
+/// A job's quote at `bandwidth` bytes/s: its traffic in service cycles at
+/// `hz`. `model` names the estimate in the non-positive-bandwidth error.
+util::Expected<Quote> quote_at(const JobSpec& job, double bandwidth, double hz,
+                               const char* model,
+                               std::vector<unsigned> plan_set) {
+  if (!(bandwidth > 0.0))
+    return util::Expected<Quote>::failure(std::string("pricing: ") + model +
+                                          " returned non-positive bandwidth");
+  Quote q;
+  q.bandwidth = bandwidth;
+  q.bytes = PricingModel::traffic_bytes(job);
+  q.service_cycles = static_cast<arch::Cycles>(
+      std::ceil(static_cast<double>(q.bytes) / q.bandwidth * hz));
+  if (q.service_cycles == 0) q.service_cycles = 1;  // nothing is free
+  q.plan_set = std::move(plan_set);
+  return q;
+}
+
 }  // namespace
 
 PricingModel::PricingModel(PricingConfig cfg) : cfg_(cfg) {
@@ -119,36 +137,17 @@ util::Expected<Quote> PricingModel::price_node(
     const sim::FaultSpec& faults) const {
   const auto est = estimate_node(job.kind, node, faults);
   if (!est) return util::Expected<Quote>::failure(est.error().message);
-  if (!(est.value().bandwidth > 0.0))
-    return util::Expected<Quote>::failure(
-        "pricing: node analytic model returned non-positive bandwidth");
-
-  Quote q;
-  q.bandwidth = est.value().bandwidth;
-  q.bytes = traffic_bytes(job);
-  q.service_cycles = static_cast<arch::Cycles>(std::ceil(
-      static_cast<double>(q.bytes) / q.bandwidth * clock_hz()));
-  if (q.service_cycles == 0) q.service_cycles = 1;  // nothing is free
-  q.plan_set = faults.surviving_sockets(node.num_sockets);
-  return q;
+  return quote_at(job, est.value().bandwidth, clock_hz(),
+                  "node analytic model",
+                  faults.surviving_sockets(node.num_sockets));
 }
 
 util::Expected<Quote> PricingModel::price(const JobSpec& job,
                                           const sim::FaultSpec& faults) const {
   const auto est = estimate(job.kind, faults);
   if (!est) return util::Expected<Quote>::failure(est.error().message);
-  if (!(est.value().bandwidth > 0.0))
-    return util::Expected<Quote>::failure(
-        "pricing: analytic model returned non-positive bandwidth");
-
-  Quote q;
-  q.bandwidth = est.value().bandwidth;
-  q.bytes = traffic_bytes(job);
-  q.service_cycles = static_cast<arch::Cycles>(std::ceil(
-      static_cast<double>(q.bytes) / q.bandwidth * clock_hz()));
-  if (q.service_cycles == 0) q.service_cycles = 1;  // nothing is free
-  q.plan_set = faults.surviving_controllers(cfg_.map.spec());
-  return q;
+  return quote_at(job, est.value().bandwidth, clock_hz(), "analytic model",
+                  faults.surviving_controllers(cfg_.map.spec()));
 }
 
 double PricingModel::roofline_bandwidth(JobKind kind) const {

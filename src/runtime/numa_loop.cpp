@@ -46,10 +46,6 @@ class DomainArena {
   std::vector<arch::Addr> next_;
 };
 
-arch::Cycles seconds_to_cycles(double seconds, double clock_ghz) {
-  return static_cast<arch::Cycles>(std::ceil(seconds * clock_ghz * 1e9));
-}
-
 /// Strand share of a shard covering `count` of `n` elements: proportional,
 /// never zero, so a split job's total strand count stays ~ the whole job's.
 unsigned shard_threads(unsigned threads, std::size_t count, std::size_t n) {
@@ -57,29 +53,6 @@ unsigned shard_threads(unsigned threads, std::size_t count, std::size_t n) {
       1, static_cast<unsigned>(std::lround(static_cast<double>(threads) *
                                            static_cast<double>(count) /
                                            static_cast<double>(n))));
-}
-
-/// Analytic node bandwidth of a shard placement under a fault belief.
-double placement_bw(const std::vector<NodeJob>& jobs, unsigned threads,
-                    std::size_t n, const sim::NodeConfig& nc,
-                    const arch::AddressMap& map, const sim::FaultSpec& belief) {
-  const unsigned sockets = nc.node.num_sockets;
-  std::vector<std::vector<sim::AnalyticStream>> streams(sockets);
-  std::vector<unsigned> strands(sockets, 0);
-  for (const NodeJob& job : jobs) {
-    const std::vector<sim::AnalyticStream> logical = {{job.bases[0], true},
-                                                      {job.bases[1], false},
-                                                      {job.bases[2], false},
-                                                      {job.bases[3], false}};
-    const auto physical = sim::expand_rfo(logical);
-    auto& dst = streams[job.compute_socket];
-    dst.insert(dst.end(), physical.begin(), physical.end());
-    strands[job.compute_socket] += shard_threads(threads, job.count, n);
-  }
-  return sim::estimate_node_bandwidth(streams, strands, nc.sim.calibration, map,
-                                      nc.node, nc.sim.topology.clock_ghz,
-                                      belief)
-      .bandwidth;
 }
 
 /// Shard placement under a healthy-socket belief. Each logical job (natural
@@ -216,6 +189,29 @@ std::vector<MovedRange> moved_ranges(const std::vector<NodeJob>& before,
 }
 
 }  // namespace
+
+double placement_bandwidth(const std::vector<NodeJob>& jobs, unsigned threads,
+                           std::size_t n, const sim::NodeConfig& node,
+                           const sim::FaultSpec& faults) {
+  const unsigned sockets = node.node.num_sockets;
+  std::vector<std::vector<sim::AnalyticStream>> streams(sockets);
+  std::vector<unsigned> strands(sockets, 0);
+  for (const NodeJob& job : jobs) {
+    const std::vector<sim::AnalyticStream> logical = {{job.bases[0], true},
+                                                      {job.bases[1], false},
+                                                      {job.bases[2], false},
+                                                      {job.bases[3], false}};
+    const auto physical = sim::expand_rfo(logical);
+    auto& dst = streams[job.compute_socket];
+    dst.insert(dst.end(), physical.begin(), physical.end());
+    strands[job.compute_socket] += shard_threads(threads, job.count, n);
+  }
+  return sim::estimate_node_bandwidth(
+             streams, strands, node.sim.calibration,
+             arch::AddressMap(node.sim.interleave), node.node,
+             node.sim.topology.clock_ghz, faults)
+      .bandwidth;
+}
 
 util::Status NodeLoopConfig::check() const {
   util::Status status;
@@ -361,11 +357,11 @@ NodeLoopResult run_supervised_node_triad(std::size_t n,
     const std::vector<NodeJob> believed_cand = plan_placement(
         jobs, sockets, n, believed_healthy, map, cfg.node.node, nullptr);
     const double cur_bw =
-        placement_bw(jobs, cfg.threads, n, cfg.node, map, belief);
+        placement_bandwidth(jobs, cfg.threads, n, cfg.node, belief);
     const double cand_bw = same_placement(jobs, believed_cand)
                                ? cur_bw
-                               : placement_bw(believed_cand, cfg.threads, n,
-                                              cfg.node, map, belief);
+                               : placement_bandwidth(believed_cand, cfg.threads,
+                                                     n, cfg.node, belief);
     const double gain = cur_bw > 0.0 ? cand_bw / cur_bw : 1.0;
 
     const NodeDecision dec = sup.observe(last_sample, gain);
@@ -429,9 +425,9 @@ NodeLoopResult run_supervised_node_triad(std::size_t n,
     const sim::FaultSpec pricing =
         sim::FaultSpec::merged(dec.diagnosis, sup.belief());
     const double bw_now =
-        placement_bw(jobs, cfg.threads, n, cfg.node, map, pricing);
+        placement_bandwidth(jobs, cfg.threads, n, cfg.node, pricing);
     const double bw_new =
-        placement_bw(candidate, cfg.threads, n, cfg.node, map, pricing);
+        placement_bandwidth(candidate, cfg.threads, n, cfg.node, pricing);
     const std::vector<MovedRange> moved = moved_ranges(jobs, candidate);
     const unsigned remaining = cfg.slices - slice - 1;
     bool migrate = false;
@@ -510,7 +506,7 @@ NodeLoopResult run_supervised_node_triad(std::size_t n,
           3ULL * m.count * sizeof(double));
     }
 
-    const arch::Cycles mig_cycles = seconds_to_cycles(mig_seconds, ghz);
+    const arch::Cycles mig_cycles = arch::seconds_to_cycles(mig_seconds, ghz);
     obs::trace_instant("sock.migrate", "numa", global, mig_cycles);
     global += mig_cycles;
     out.total_cycles += mig_cycles;

@@ -160,6 +160,15 @@ struct NodeLoopResult {
   }
 };
 
+/// Analytic node bandwidth (bytes/s) of a shard placement under `faults`,
+/// priced the way the loop runs it: each shard's triad streams on its
+/// compute socket with its proportional share (never zero) of `threads`
+/// strands per `n`-element logical job.
+[[nodiscard]] double placement_bandwidth(const std::vector<NodeJob>& jobs,
+                                         unsigned threads, std::size_t n,
+                                         const sim::NodeConfig& node,
+                                         const sim::FaultSpec& faults);
+
 /// Supervised node-wide triad: one n-element job per socket over
 /// cfg.slices sweeps. Requires contiguous home domains large enough for the
 /// worst failover packing (throws std::invalid_argument otherwise).

@@ -61,10 +61,6 @@ Sample make_sample(const sim::SimResult& res, arch::Cycles global_begin) {
   return s;
 }
 
-arch::Cycles seconds_to_cycles(double seconds, double clock_ghz) {
-  return static_cast<arch::Cycles>(std::ceil(seconds * clock_ghz * 1e9));
-}
-
 /// Charges one checksum-verify pass (read every live byte once) at `bw` to
 /// the loop's cycle count — the simulated cost of SegmentGuard::verify plus
 /// rebuild after the supervisor orders a scrub.
@@ -72,7 +68,7 @@ void charge_scrub(LoopResult& out, arch::Cycles& global, double live_bytes,
                   double bw, double ghz, const char* who) {
   ++out.scrubs;
   const arch::Cycles cost =
-      bw > 0.0 ? seconds_to_cycles(live_bytes / bw, ghz) : 0;
+      bw > 0.0 ? arch::seconds_to_cycles(live_bytes / bw, ghz) : 0;
   // Integrity scrubs read every live byte once: system work, charged to
   // tenant 0 with no placement (the verify walks all controllers).
   obs::Attribution::instance().charge(0, -1, obs::Charge::kScrub, 0,
@@ -242,7 +238,7 @@ LoopResult run_supervised_triad(trace::VirtualArena& arena,
       const std::size_t off = plan.offsets[k];
       bases[k] = arena.allocate(n * sizeof(double) + off, plan.base_align) + off;
     }
-    const arch::Cycles mig_cycles = seconds_to_cycles(mig_seconds, ghz);
+    const arch::Cycles mig_cycles = arch::seconds_to_cycles(mig_seconds, ghz);
     obs::trace_instant("loop.migrate", "loop", global, mig_cycles);
     global += mig_cycles;
     out.total_cycles += mig_cycles;
@@ -367,7 +363,7 @@ LoopResult run_supervised_jacobi(trace::VirtualArena& arena, std::size_t n,
 
     grids = kernels::make_virtual_jacobi(arena, n, plan.spec());
     flipped = false;  // fresh grids: state lives in `source` again
-    const arch::Cycles mig_cycles = seconds_to_cycles(mig_seconds, ghz);
+    const arch::Cycles mig_cycles = arch::seconds_to_cycles(mig_seconds, ghz);
     obs::trace_instant("loop.migrate", "loop", global, mig_cycles);
     global += mig_cycles;
     out.total_cycles += mig_cycles;

@@ -40,14 +40,11 @@ LayoutSpec StreamPlan::spec_for(std::size_t k) const {
 
 StreamPlan plan_stream_offsets(std::size_t num_arrays,
                                const arch::AddressMap& map) {
-  const std::size_t period = map.spec().period_bytes();
-  const std::size_t stride = period / map.spec().num_controllers();
-  StreamPlan plan;
-  plan.base_align = std::max<std::size_t>(8192, period);
-  plan.offsets.resize(num_arrays);
-  for (std::size_t k = 0; k < num_arrays; ++k)
-    plan.offsets[k] = k * stride % period;
-  return plan;
+  // period == C * stride, so k * stride mod period == (k mod C) * stride: the
+  // healthy plan is the surviving-set plan over every controller.
+  std::vector<unsigned> all(map.spec().num_controllers());
+  for (unsigned c = 0; c < all.size(); ++c) all[c] = c;
+  return plan_stream_offsets(num_arrays, map, all);
 }
 
 StreamPlan plan_stream_offsets(std::size_t num_arrays,
@@ -188,14 +185,6 @@ NodeStreamPlan plan_node_stream_shards(std::size_t num_arrays,
   std::vector<unsigned> domain_load(node.num_sockets, 0);
   return plan_node_stream_shards(num_arrays, map, node, compute_sockets,
                                  memory_sockets, domain_load);
-}
-
-NodeStreamPlan plan_node_stream_shards(std::size_t num_arrays,
-                                       const arch::AddressMap& map,
-                                       const arch::NodeTopology& node) {
-  std::vector<unsigned> all(node.num_sockets);
-  for (unsigned s = 0; s < node.num_sockets; ++s) all[s] = s;
-  return plan_node_stream_shards(num_arrays, map, node, all, all);
 }
 
 std::vector<std::size_t> split_shard_counts(std::size_t total,

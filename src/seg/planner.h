@@ -135,12 +135,6 @@ struct NodeStreamPlan {
     std::span<const unsigned> memory_sockets,
     std::vector<unsigned>& domain_load);
 
-/// Healthy-node convenience overload: every socket computes, every domain
-/// serves, so each shard is local.
-[[nodiscard]] NodeStreamPlan plan_node_stream_shards(
-    std::size_t num_arrays, const arch::AddressMap& map,
-    const arch::NodeTopology& node);
-
 /// Even element partition of one orphaned job across `parts` survivors:
 /// entry i is shard i's element count, total/parts with the remainder spread
 /// over the leading shards. Never returns zero-element shards (parts is

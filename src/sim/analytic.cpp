@@ -1,7 +1,9 @@
 #include "sim/analytic.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <string>
 
 #include "sim/numa.h"
 
@@ -21,6 +23,217 @@ std::vector<AnalyticStream> expand_rfo(std::span<const AnalyticStream> logical) 
   return physical;
 }
 
+namespace {
+
+/// The controller-balance closed form of one socket. Every stream advances
+/// one line per step over one interleave period. A line goes to its
+/// controller (an offline controller's lines to its remap survivor) or, on
+/// the node path, when another socket serves its home domain for socket
+/// `self`, across the link port toward that socket. Controllers and ports
+/// serialize their own lines and work in parallel, so a step costs its
+/// busiest resource. kNuma is decided at compile time: the chip path does no
+/// routing lookup and no link costing per line. Fills `sock`
+/// (link_utilization only on the node path, where the caller sized it) and
+/// returns the remote lines per period.
+template <bool kNuma>
+std::uint64_t socket_closed_form(std::span<const AnalyticStream> streams,
+                                 unsigned num_threads,
+                                 const arch::Calibration& cal,
+                                 const arch::AddressMap& map, double clock_ghz,
+                                 const FaultSpec& faults,
+                                 const arch::NodeTopology* node, unsigned self,
+                                 NodeSocketEstimate& sock) {
+  const auto& spec = map.spec();
+  const unsigned num_mcs = spec.num_controllers();
+  struct Controller {
+    double cost_scale = 0.0;
+    std::uint64_t reads = 0;  // this step
+    std::uint64_t writes = 0;
+    double busy_cycles = 0.0;  // per period
+  };
+  std::vector<Controller> mcs(num_mcs);
+  // A derated controller serves 1/factor slower; on the node a derated
+  // socket slows its own controllers too (Chip::apply_faults).
+  double socket_factor = 1.0;
+  if constexpr (kNuma) socket_factor = faults.socket_derate_of(self);
+  unsigned alive = 0;
+  for (unsigned c = 0; c < num_mcs; ++c) {
+    mcs[c].cost_scale = 1.0 / (faults.derate_of(c) * socket_factor);
+    if (!faults.is_offline(c)) ++alive;
+  }
+  if (alive == 0)
+    throw std::invalid_argument(
+        kNuma ? "estimate_node_bandwidth: no surviving controllers"
+              : "estimate_bandwidth: no surviving controllers");
+  const std::vector<unsigned> remap = faults.controller_remap(spec);
+  NumaRoutes routes;
+  if constexpr (kNuma) routes = resolve_numa_routes(*node, faults, self);
+  const std::uint64_t steps = spec.period_bytes() / spec.line_size();
+  const double read_cost =
+      static_cast<double>(cal.mc_request_overhead + cal.mc_read_service);
+  const double write_cost =
+      static_cast<double>(cal.mc_request_overhead + cal.mc_write_service);
+
+  std::array<double, arch::NodeTopology::kMaxSockets> link_cycles{};
+  double total_step_cycles = 0.0;
+  double ideal_step_cycles = 0.0;
+  std::uint64_t total_reads = 0;
+  std::uint64_t remote_lines = 0;
+  double read_latency_sum = 0.0;  // node path: remote reads wait longer
+
+  for (std::uint64_t k = 0; k < steps; ++k) {
+    for (Controller& mc : mcs) mc.reads = mc.writes = 0;
+    std::array<double, arch::NodeTopology::kMaxSockets> step_link{};
+    for (const AnalyticStream& st : streams) {
+      const arch::Addr a = st.base + k * spec.line_size();
+      if (!st.write) ++total_reads;
+      if constexpr (kNuma) {
+        const unsigned serving = routes.home_serving[node->home_socket_of(a)];
+        if (serving != self) {
+          const double cyc = static_cast<double>(routes.line_cycles[serving]);
+          step_link[serving] += cyc;
+          link_cycles[serving] += cyc;
+          ++remote_lines;
+          if (!st.write)
+            read_latency_sum +=
+                static_cast<double>(cal.mem_latency + routes.latency[serving]);
+          continue;
+        }
+        if (!st.write) read_latency_sum += static_cast<double>(cal.mem_latency);
+      }
+      Controller& mc = mcs[remap[map.controller_of(a)]];
+      if (st.write)
+        ++mc.writes;
+      else
+        ++mc.reads;
+    }
+    double step_cost = 0.0;
+    double step_work = 0.0;
+    for (Controller& mc : mcs) {
+      double cost = static_cast<double>(mc.reads) * read_cost +
+                    static_cast<double>(mc.writes) * write_cost;
+      // Mixed-direction service on a controller costs one amortized
+      // turnaround per step (controllers batch same-direction transfers).
+      if (mc.reads != 0 && mc.writes != 0)
+        cost += static_cast<double>(cal.mc_turnaround);
+      cost *= mc.cost_scale;
+      mc.busy_cycles += cost;
+      step_cost = std::max(step_cost, cost);
+      step_work += cost;
+    }
+    if constexpr (kNuma)
+      for (unsigned t = 0; t < node->num_sockets; ++t)
+        step_cost = std::max(step_cost, step_link[t]);
+    total_step_cycles += step_cost;
+    // A perfectly balanced placement would split the same work evenly
+    // across the controllers that still serve traffic.
+    ideal_step_cycles += step_work / static_cast<double>(alive);
+  }
+
+  const double line = static_cast<double>(spec.line_size());
+  const double hz = clock_ghz * 1e9;
+  const std::uint64_t lines_per_period =
+      static_cast<std::uint64_t>(streams.size()) * steps;
+  sock.bytes_per_period = static_cast<double>(lines_per_period) * line;
+  sock.remote_fraction = static_cast<double>(remote_lines) /
+                         static_cast<double>(lines_per_period);
+
+  AnalyticEstimate& est = sock.chip;
+  est.service_bandwidth = sock.bytes_per_period / total_step_cycles * hz;
+  est.balance =
+      total_step_cycles > 0.0 ? ideal_step_cycles / total_step_cycles : 0.0;
+  // Busy fraction over the service critical path: the makespan of one
+  // period is total_step_cycles, of which controller c was busy
+  // busy_cycles (offline controllers received no remapped lines, so they
+  // read 0).
+  est.mc_utilization.resize(num_mcs);
+  for (unsigned c = 0; c < num_mcs; ++c)
+    est.mc_utilization[c] = mcs[c].busy_cycles / total_step_cycles;
+  if constexpr (kNuma)
+    for (unsigned t = 0; t < node->num_sockets; ++t)
+      sock.link_utilization[t] = link_cycles[t] / total_step_cycles;
+
+  // Latency/concurrency bound: each strand sustains one outstanding read
+  // miss whose round trip is DRAM latency plus, for remote reads, the path's
+  // extra fill latency (averaged over the socket's reads). Writes drain
+  // through store buffers without blocking, so total traffic scales
+  // read-limited throughput by total/read bytes.
+  double avg_read_latency = static_cast<double>(cal.mem_latency);
+  if constexpr (kNuma)
+    if (total_reads != 0)
+      avg_read_latency = read_latency_sum / static_cast<double>(total_reads);
+  const double read_fraction = static_cast<double>(total_reads) /
+                               static_cast<double>(lines_per_period);
+  const double read_bw_limit =
+      static_cast<double>(num_threads) * line / avg_read_latency * hz;
+  est.latency_bandwidth =
+      read_fraction > 0.0 ? read_bw_limit / read_fraction : read_bw_limit;
+
+  est.bandwidth = std::min(est.service_bandwidth, est.latency_bandwidth);
+  return remote_lines;
+}
+
+/// Adds `from * weight` into `into`, entry by entry (growing `into` with
+/// zeros as needed).
+void add_weighted(std::vector<double>& into, const std::vector<double>& from,
+                  double weight) {
+  if (into.size() < from.size()) into.resize(from.size(), 0.0);
+  for (std::size_t i = 0; i < from.size(); ++i) into[i] += from[i] * weight;
+}
+
+void add_weighted(AnalyticEstimate& into, const AnalyticEstimate& from,
+                  double weight) {
+  into.bandwidth += from.bandwidth * weight;
+  into.service_bandwidth += from.service_bandwidth * weight;
+  into.latency_bandwidth += from.latency_bandwidth * weight;
+  into.balance += from.balance * weight;
+  add_weighted(into.mc_utilization, from.mc_utilization, weight);
+}
+
+void add_weighted(NodeEstimate& into, const NodeEstimate& from, double weight) {
+  into.bandwidth += from.bandwidth * weight;
+  into.remote_fraction += from.remote_fraction * weight;
+  if (into.sockets.size() < from.sockets.size())
+    into.sockets.resize(from.sockets.size());
+  for (std::size_t s = 0; s < from.sockets.size(); ++s) {
+    add_weighted(into.sockets[s].chip, from.sockets[s].chip, weight);
+    add_weighted(into.sockets[s].link_utilization,
+                 from.sockets[s].link_utilization, weight);
+    into.sockets[s].remote_fraction += from.sockets[s].remote_fraction * weight;
+    into.sockets[s].bytes_per_period +=
+        from.sockets[s].bytes_per_period * weight;
+  }
+}
+
+/// Evaluates `model` (FaultSpec -> Estimate) once per epoch of `schedule`
+/// over [0, horizon) and composes the epochs with epoch-length weights: the
+/// one epoch-weighting loop of both scheduled entries. `who` prefixes the
+/// argument errors.
+template <class Estimate, class Model>
+Scheduled<Estimate> compose_epochs(const char* who, const FaultSpec& baseline,
+                                   const FaultSchedule& schedule,
+                                   arch::Cycles horizon, const Model& model) {
+  if (schedule.has_relative())
+    throw std::invalid_argument(std::string(who) +
+                                ": schedule has unresolved percent bounds");
+  if (horizon == 0 || horizon == FaultSchedule::kNever)
+    throw std::invalid_argument(std::string(who) +
+                                ": horizon must be a finite run length");
+
+  Scheduled<Estimate> out;
+  for (const FaultSchedule::Epoch& e : schedule.epochs(horizon, baseline)) {
+    typename Scheduled<Estimate>::EpochEstimate epoch{
+        e.begin, e.end, e.faults.describe(), model(e.faults)};
+    add_weighted(out.whole, epoch.estimate,
+                 static_cast<double>(e.end - e.begin) /
+                     static_cast<double>(horizon));
+    out.epochs.push_back(std::move(epoch));
+  }
+  return out;
+}
+
+}  // namespace
+
 AnalyticEstimate estimate_bandwidth(std::span<const AnalyticStream> streams,
                                     unsigned num_threads,
                                     const arch::Calibration& cal,
@@ -28,90 +241,10 @@ AnalyticEstimate estimate_bandwidth(std::span<const AnalyticStream> streams,
                                     double clock_ghz, const FaultSpec& faults) {
   if (streams.empty()) throw std::invalid_argument("estimate_bandwidth: no streams");
   if (num_threads == 0) throw std::invalid_argument("estimate_bandwidth: no threads");
-
-  const auto& spec = map.spec();
-  const std::vector<unsigned> alive = faults.surviving_controllers(spec);
-  if (alive.empty())
-    throw std::invalid_argument("estimate_bandwidth: no surviving controllers");
-  // Mirror the chip model: offline controllers' lines go to their remap
-  // survivor, and a derated controller's service is 1/factor slower.
-  const std::vector<unsigned> remap = faults.controller_remap(spec);
-  std::vector<double> cost_scale(spec.num_controllers());
-  for (unsigned c = 0; c < spec.num_controllers(); ++c)
-    cost_scale[c] = 1.0 / faults.derate_of(c);
-  const std::uint64_t steps = spec.period_bytes() / spec.line_size();
-  const double read_cost =
-      static_cast<double>(cal.mc_request_overhead + cal.mc_read_service);
-  const double write_cost =
-      static_cast<double>(cal.mc_request_overhead + cal.mc_write_service);
-
-  std::vector<std::uint64_t> reads(spec.num_controllers());
-  std::vector<std::uint64_t> writes(spec.num_controllers());
-  std::vector<double> mc_cycles(spec.num_controllers(), 0.0);
-  double total_step_cycles = 0.0;
-  std::uint64_t total_reads = 0;
-  std::uint64_t total_writes = 0;
-  double ideal_step_cycles = 0.0;
-
-  for (std::uint64_t k = 0; k < steps; ++k) {
-    std::fill(reads.begin(), reads.end(), 0);
-    std::fill(writes.begin(), writes.end(), 0);
-    for (const AnalyticStream& s : streams) {
-      const unsigned c = remap[map.controller_of(s.base + k * spec.line_size())];
-      if (s.write)
-        ++writes[c];
-      else
-        ++reads[c];
-    }
-    double step_cost = 0.0;
-    double step_work = 0.0;
-    for (unsigned c = 0; c < spec.num_controllers(); ++c) {
-      double cost = static_cast<double>(reads[c]) * read_cost +
-                    static_cast<double>(writes[c]) * write_cost;
-      // Mixed-direction service on a controller costs one amortized
-      // turnaround per step (controllers batch same-direction transfers).
-      if (reads[c] != 0 && writes[c] != 0)
-        cost += static_cast<double>(cal.mc_turnaround);
-      cost *= cost_scale[c];
-      mc_cycles[c] += cost;
-      step_cost = std::max(step_cost, cost);
-      step_work += cost;
-      total_reads += reads[c];
-      total_writes += writes[c];
-    }
-    total_step_cycles += step_cost;
-    // A perfectly balanced placement would split the same work evenly
-    // across the controllers that still serve traffic.
-    ideal_step_cycles += step_work / static_cast<double>(alive.size());
-  }
-
-  const double line = static_cast<double>(spec.line_size());
-  const double bytes_per_period =
-      static_cast<double>(total_reads + total_writes) * line;
-  const double hz = clock_ghz * 1e9;
-
-  AnalyticEstimate est;
-  est.service_bandwidth = bytes_per_period / total_step_cycles * hz;
-  est.balance = ideal_step_cycles / total_step_cycles;
-  // Busy fraction over the service critical path: the makespan of one
-  // period is total_step_cycles, of which controller c was busy mc_cycles[c]
-  // (offline controllers received no remapped lines, so they read 0).
-  est.mc_utilization.resize(spec.num_controllers());
-  for (unsigned c = 0; c < spec.num_controllers(); ++c)
-    est.mc_utilization[c] = mc_cycles[c] / total_step_cycles;
-
-  // Latency/concurrency bound: each strand sustains one outstanding read
-  // miss; writes drain through store buffers without blocking, so total
-  // traffic scales read-limited throughput by total/read bytes.
-  const double read_fraction =
-      static_cast<double>(total_reads) / static_cast<double>(total_reads + total_writes);
-  const double read_bw_limit = static_cast<double>(num_threads) * line /
-                               static_cast<double>(cal.mem_latency) * hz;
-  est.latency_bandwidth =
-      read_fraction > 0.0 ? read_bw_limit / read_fraction : read_bw_limit;
-
-  est.bandwidth = std::min(est.service_bandwidth, est.latency_bandwidth);
-  return est;
+  NodeSocketEstimate sock;
+  (void)socket_closed_form<false>(streams, num_threads, cal, map, clock_ghz,
+                                  faults, nullptr, 0, sock);
+  return std::move(sock.chip);
 }
 
 ScheduledEstimate estimate_bandwidth_scheduled(
@@ -119,46 +252,13 @@ ScheduledEstimate estimate_bandwidth_scheduled(
     const arch::Calibration& cal, const arch::AddressMap& map,
     double clock_ghz, const FaultSpec& baseline, const FaultSchedule& schedule,
     arch::Cycles horizon) {
-  if (schedule.has_relative())
-    throw std::invalid_argument(
-        "estimate_bandwidth_scheduled: schedule has unresolved percent bounds");
-  if (horizon == 0 || horizon == FaultSchedule::kNever)
-    throw std::invalid_argument(
-        "estimate_bandwidth_scheduled: horizon must be a finite run length");
-
-  ScheduledEstimate out;
-  double weighted_bw = 0.0;
-  double weighted_service = 0.0;
-  double weighted_latency = 0.0;
-  double weighted_balance = 0.0;
-  std::vector<double> weighted_util(map.spec().num_controllers(), 0.0);
-  for (const FaultSchedule::Epoch& e : schedule.epochs(horizon, baseline)) {
-    ScheduledEstimate::EpochEstimate epoch;
-    epoch.begin = e.begin;
-    epoch.end = e.end;
-    epoch.faults = e.faults.describe();
-    epoch.estimate =
-        estimate_bandwidth(streams, num_threads, cal, map, clock_ghz, e.faults);
-    const double weight = static_cast<double>(e.end - e.begin) /
-                          static_cast<double>(horizon);
-    weighted_bw += epoch.estimate.bandwidth * weight;
-    weighted_service += epoch.estimate.service_bandwidth * weight;
-    weighted_latency += epoch.estimate.latency_bandwidth * weight;
-    weighted_balance += epoch.estimate.balance * weight;
-    for (std::size_t c = 0; c < weighted_util.size(); ++c)
-      weighted_util[c] += epoch.estimate.mc_utilization[c] * weight;
-    out.epochs.push_back(std::move(epoch));
-  }
-  out.whole.bandwidth = weighted_bw;
-  out.whole.service_bandwidth = weighted_service;
-  out.whole.latency_bandwidth = weighted_latency;
-  out.whole.balance = weighted_balance;
-  out.whole.mc_utilization = std::move(weighted_util);
-  return out;
+  return compose_epochs<AnalyticEstimate>(
+      "estimate_bandwidth_scheduled", baseline, schedule, horizon,
+      [&](const FaultSpec& faults) {
+        return estimate_bandwidth(streams, num_threads, cal, map, clock_ghz,
+                                  faults);
+      });
 }
-
-// ---------------------------------------------------------------------------
-// NUMA node model.
 
 NodeEstimate estimate_node_bandwidth(
     std::span<const std::vector<AnalyticStream>> socket_streams,
@@ -171,15 +271,8 @@ NodeEstimate estimate_node_bandwidth(
         "estimate_node_bandwidth: need one stream set and thread count per "
         "socket");
 
-  const auto& spec = map.spec();
-  const std::uint64_t steps = spec.period_bytes() / spec.line_size();
-  const double line = static_cast<double>(spec.line_size());
+  const double line = static_cast<double>(map.spec().line_size());
   const double hz = clock_ghz * 1e9;
-  const double read_cost =
-      static_cast<double>(cal.mc_request_overhead + cal.mc_read_service);
-  const double write_cost =
-      static_cast<double>(cal.mc_request_overhead + cal.mc_write_service);
-  const std::vector<unsigned> remap = faults.controller_remap(spec);
 
   NodeEstimate out;
   out.sockets.resize(n);
@@ -190,122 +283,20 @@ NodeEstimate estimate_node_bandwidth(
   for (unsigned s = 0; s < n; ++s) {
     NodeSocketEstimate& sock = out.sockets[s];
     sock.link_utilization.assign(n, 0.0);
-    const std::vector<AnalyticStream>& streams = socket_streams[s];
-    if (streams.empty()) continue;
+    if (socket_streams[s].empty()) continue;
     if (socket_threads[s] == 0)
       throw std::invalid_argument(
           "estimate_node_bandwidth: socket with streams but no threads");
 
-    const NumaRoutes routes = resolve_numa_routes(node, faults, s);
-    // A derated socket slows its own controllers too (Chip::apply_faults).
-    const double socket_factor = faults.socket_derate_of(s);
-    std::vector<double> cost_scale(spec.num_controllers());
-    for (unsigned c = 0; c < spec.num_controllers(); ++c)
-      cost_scale[c] = 1.0 / (faults.derate_of(c) * socket_factor);
-
-    std::vector<std::uint64_t> reads(spec.num_controllers());
-    std::vector<std::uint64_t> writes(spec.num_controllers());
-    std::vector<double> mc_cycles(spec.num_controllers(), 0.0);
-    std::vector<double> link_cycles(n, 0.0);
-    std::vector<std::uint64_t> link_lines(n, 0);
-    double total_step_cycles = 0.0;
-    double ideal_step_cycles = 0.0;
-    std::uint64_t local_reads = 0;
-    std::uint64_t local_writes = 0;
-    std::uint64_t remote_lines = 0;
-    std::uint64_t remote_reads = 0;
-    double read_latency_sum = 0.0;
-    const std::vector<unsigned> alive = faults.surviving_controllers(spec);
-
-    for (std::uint64_t k = 0; k < steps; ++k) {
-      std::fill(reads.begin(), reads.end(), 0);
-      std::fill(writes.begin(), writes.end(), 0);
-      std::vector<double> step_link(n, 0.0);
-      for (const AnalyticStream& st : streams) {
-        const arch::Addr a = st.base + k * spec.line_size();
-        const unsigned serving = routes.home_serving[node.home_socket_of(a)];
-        if (serving == s) {
-          const unsigned c = remap[map.controller_of(a)];
-          if (st.write)
-            ++writes[c];
-          else {
-            ++reads[c];
-            read_latency_sum += static_cast<double>(cal.mem_latency);
-          }
-        } else {
-          const double cyc = static_cast<double>(routes.line_cycles[serving]);
-          step_link[serving] += cyc;
-          link_cycles[serving] += cyc;
-          ++link_lines[serving];
-          ++remote_lines;
-          if (!st.write) {
-            ++remote_reads;
-            read_latency_sum += static_cast<double>(cal.mem_latency +
-                                                    routes.latency[serving]);
-          }
-        }
-      }
-      double step_cost = 0.0;
-      double step_work = 0.0;
-      for (unsigned c = 0; c < spec.num_controllers(); ++c) {
-        double cost = static_cast<double>(reads[c]) * read_cost +
-                      static_cast<double>(writes[c]) * write_cost;
-        if (reads[c] != 0 && writes[c] != 0)
-          cost += static_cast<double>(cal.mc_turnaround);
-        cost *= cost_scale[c];
-        mc_cycles[c] += cost;
-        step_cost = std::max(step_cost, cost);
-        step_work += cost;
-        local_reads += reads[c];
-        local_writes += writes[c];
-      }
-      for (unsigned t = 0; t < n; ++t)
-        step_cost = std::max(step_cost, step_link[t]);
-      total_step_cycles += step_cost;
-      ideal_step_cycles +=
-          step_work / static_cast<double>(std::max<std::size_t>(
-                          alive.size(), 1));
-    }
-
-    const std::uint64_t lines_per_period =
-        static_cast<std::uint64_t>(streams.size()) * steps;
-    const std::uint64_t total_reads_s =
-        local_reads + remote_reads;
-    sock.bytes_per_period = static_cast<double>(lines_per_period) * line;
-    sock.remote_fraction = static_cast<double>(remote_lines) /
-                           static_cast<double>(lines_per_period);
-
-    AnalyticEstimate& est = sock.chip;
-    est.service_bandwidth = sock.bytes_per_period / total_step_cycles * hz;
-    est.balance =
-        total_step_cycles > 0.0 ? ideal_step_cycles / total_step_cycles : 0.0;
-    est.mc_utilization.resize(spec.num_controllers());
-    for (unsigned c = 0; c < spec.num_controllers(); ++c)
-      est.mc_utilization[c] = mc_cycles[c] / total_step_cycles;
-    for (unsigned t = 0; t < n; ++t)
-      sock.link_utilization[t] = link_cycles[t] / total_step_cycles;
-
-    // Concurrency bound: each strand sustains one outstanding read miss
-    // whose round trip is DRAM latency plus, for remote reads, the path's
-    // extra fill latency — averaged over the socket's read lines.
-    const double avg_read_latency =
-        total_reads_s != 0
-            ? read_latency_sum / static_cast<double>(total_reads_s)
-            : static_cast<double>(cal.mem_latency);
-    const double read_fraction =
-        static_cast<double>(total_reads_s) /
-        static_cast<double>(lines_per_period);
-    const double read_bw_limit =
-        static_cast<double>(socket_threads[s]) * line / avg_read_latency * hz;
-    est.latency_bandwidth =
-        read_fraction > 0.0 ? read_bw_limit / read_fraction : read_bw_limit;
-    est.bandwidth = std::min(est.service_bandwidth, est.latency_bandwidth);
+    const std::uint64_t remote_lines =
+        socket_closed_form<true>(socket_streams[s], socket_threads[s], cal,
+                                 map, clock_ghz, faults, &node, s, sock);
 
     total_bytes += sock.bytes_per_period;
     remote_bytes += static_cast<double>(remote_lines) * line;
     // Cycles this socket needs per period at its own bandwidth.
-    makespan_cycles =
-        std::max(makespan_cycles, sock.bytes_per_period / est.bandwidth * hz);
+    makespan_cycles = std::max(
+        makespan_cycles, sock.bytes_per_period / sock.chip.bandwidth * hz);
   }
 
   if (makespan_cycles > 0.0)
@@ -321,49 +312,12 @@ ScheduledNodeEstimate estimate_node_bandwidth_scheduled(
     const arch::AddressMap& map, const arch::NodeTopology& node,
     double clock_ghz, const FaultSpec& baseline, const FaultSchedule& schedule,
     arch::Cycles horizon) {
-  if (schedule.has_relative())
-    throw std::invalid_argument(
-        "estimate_node_bandwidth_scheduled: schedule has unresolved percent "
-        "bounds");
-  if (horizon == 0 || horizon == FaultSchedule::kNever)
-    throw std::invalid_argument(
-        "estimate_node_bandwidth_scheduled: horizon must be a finite run "
-        "length");
-
-  ScheduledNodeEstimate out;
-  out.whole.sockets.resize(node.num_sockets);
-  for (auto& sock : out.whole.sockets)
-    sock.link_utilization.assign(node.num_sockets, 0.0);
-  for (const FaultSchedule::Epoch& e : schedule.epochs(horizon, baseline)) {
-    ScheduledNodeEstimate::EpochEstimate epoch;
-    epoch.begin = e.begin;
-    epoch.end = e.end;
-    epoch.faults = e.faults.describe();
-    epoch.estimate = estimate_node_bandwidth(
-        socket_streams, socket_threads, cal, map, node, clock_ghz, e.faults);
-    const double weight = static_cast<double>(e.end - e.begin) /
-                          static_cast<double>(horizon);
-    out.whole.bandwidth += epoch.estimate.bandwidth * weight;
-    out.whole.remote_fraction += epoch.estimate.remote_fraction * weight;
-    for (unsigned s = 0; s < node.num_sockets; ++s) {
-      const NodeSocketEstimate& from = epoch.estimate.sockets[s];
-      NodeSocketEstimate& into = out.whole.sockets[s];
-      into.chip.bandwidth += from.chip.bandwidth * weight;
-      into.chip.service_bandwidth += from.chip.service_bandwidth * weight;
-      into.chip.latency_bandwidth += from.chip.latency_bandwidth * weight;
-      into.chip.balance += from.chip.balance * weight;
-      into.remote_fraction += from.remote_fraction * weight;
-      into.bytes_per_period += from.bytes_per_period * weight;
-      if (into.chip.mc_utilization.size() < from.chip.mc_utilization.size())
-        into.chip.mc_utilization.resize(from.chip.mc_utilization.size(), 0.0);
-      for (std::size_t c = 0; c < from.chip.mc_utilization.size(); ++c)
-        into.chip.mc_utilization[c] += from.chip.mc_utilization[c] * weight;
-      for (std::size_t t = 0; t < from.link_utilization.size(); ++t)
-        into.link_utilization[t] += from.link_utilization[t] * weight;
-    }
-    out.epochs.push_back(std::move(epoch));
-  }
-  return out;
+  return compose_epochs<NodeEstimate>(
+      "estimate_node_bandwidth_scheduled", baseline, schedule, horizon,
+      [&](const FaultSpec& faults) {
+        return estimate_node_bandwidth(socket_streams, socket_threads, cal, map,
+                                       node, clock_ghz, faults);
+      });
 }
 
 }  // namespace mcopt::sim

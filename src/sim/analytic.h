@@ -10,9 +10,23 @@
 // DES minutes takes microseconds here. Tests cross-validate the two (the
 // model tracks DES bandwidth shapes; absolute agreement is bounded but not
 // exact since the DES also models latency jitter, L1 effects and banking).
+//
+// There is one closed form, per socket. The NUMA node runs it once per
+// socket with that socket's routing table and composes the sockets by
+// makespan; the chip is the one-socket case S=1, where every line is local.
+// Which entry returns what:
+//   * estimate_bandwidth: the per-socket closed form with every line local,
+//     bit for bit estimate_node_bandwidth(S=1).sockets[0].chip. Not the
+//     one-socket node's .bandwidth: its makespan composition
+//     (bytes / (bytes / bw * hz) * hz) can differ in the last bit.
+//   * estimate_node_bandwidth: every socket's closed form plus the makespan.
+//   * the *_scheduled entries: one epoch-weighting loop over a fault
+//     schedule (Scheduled<Estimate>); the chip's equals socket 0 of the
+//     one-socket node's.
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "arch/address_map.h"
@@ -61,7 +75,9 @@ struct AnalyticEstimate {
 /// offline controller are charged to its remap survivor, and a derated
 /// controller's service cost is scaled by 1/factor. (Bank and straggler
 /// faults are below this model's resolution and are ignored.) The balance
-/// ideal is taken over the surviving controllers only.
+/// ideal is taken over the surviving controllers only. Throws
+/// std::invalid_argument on no streams, no threads or no surviving
+/// controller.
 [[nodiscard]] AnalyticEstimate estimate_bandwidth(
     std::span<const AnalyticStream> streams, unsigned num_threads,
     const arch::Calibration& cal, const arch::AddressMap& map,
@@ -72,16 +88,19 @@ struct AnalyticEstimate {
 /// boundaries = fault transitions over [0, horizon)) and composed with
 /// epoch-length weights — whole-run bytes are sum(bandwidth_e * length_e),
 /// so `whole.bandwidth` is the time-weighted mean the DES should approach.
-struct ScheduledEstimate {
+/// Every field of the estimate (per socket, on the node) is weighted alike.
+template <class Estimate>
+struct Scheduled {
   struct EpochEstimate {
     arch::Cycles begin = 0;
     arch::Cycles end = 0;
     std::string faults;  ///< merged active spec, FaultSpec::describe()
-    AnalyticEstimate estimate;
+    Estimate estimate;
   };
   std::vector<EpochEstimate> epochs;
-  AnalyticEstimate whole;  ///< epoch-length-weighted composition
+  Estimate whole;  ///< epoch-length-weighted composition
 };
+using ScheduledEstimate = Scheduled<AnalyticEstimate>;
 
 /// `schedule` must be resolved (no percent bounds); `horizon` is the run
 /// length in cycles the weights are taken over. `baseline` faults apply to
@@ -94,13 +113,14 @@ struct ScheduledEstimate {
 
 // ---------------------------------------------------------------------------
 // Multi-socket (NUMA) analytic model — the closed form of sim::Node exactly
-// as estimate_bandwidth is the closed form of sim::Chip. Per compute socket,
-// each step's lines split into locally served ones (controller costing as
-// above, socket derate applied) and remotely served ones (serialized on the
-// per-peer link port at the surviving path's effective per-line cost); the
-// step advances at the slowest of the two. Reads served remotely also pay
-// the path latency in the concurrency bound. The node's bandwidth composes
-// per-socket times by makespan: total bytes over the slowest socket's time.
+// as estimate_bandwidth is the closed form of sim::Chip, and the same
+// per-socket routine. Per compute socket, each step's lines split into
+// locally served ones (controller costing as above, socket derate applied)
+// and remotely served ones (serialized on the per-peer link port at the
+// surviving path's effective per-line cost); the step advances at the
+// slowest of the two. Reads served remotely also pay the path latency in the
+// concurrency bound. The node's bandwidth composes per-socket times by
+// makespan: total bytes over the slowest socket's time.
 
 /// Per-socket slice of a node estimate.
 struct NodeSocketEstimate {
@@ -139,17 +159,8 @@ struct NodeEstimate {
     double clock_ghz, const FaultSpec& faults = {});
 
 /// Epoch-resolved composition over a transient-fault schedule (the node
-/// analogue of estimate_bandwidth_scheduled; same weighting semantics).
-struct ScheduledNodeEstimate {
-  struct EpochEstimate {
-    arch::Cycles begin = 0;
-    arch::Cycles end = 0;
-    std::string faults;
-    NodeEstimate estimate;
-  };
-  std::vector<EpochEstimate> epochs;
-  NodeEstimate whole;  ///< epoch-length-weighted composition
-};
+/// analogue of estimate_bandwidth_scheduled, and the same weighting loop).
+using ScheduledNodeEstimate = Scheduled<NodeEstimate>;
 
 [[nodiscard]] ScheduledNodeEstimate estimate_node_bandwidth_scheduled(
     std::span<const std::vector<AnalyticStream>> socket_streams,

@@ -136,6 +136,7 @@ class DurabilityRegression : public ::testing::Test {
   void SetUp() override {
     root_ = fs::temp_directory_path() /
             ("mcopt_durreg_" +
+             std::to_string(::getpid()) + "_" +
              std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
              "_" + ::testing::UnitTest::GetInstance()
                        ->current_test_info()

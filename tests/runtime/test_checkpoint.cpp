@@ -8,6 +8,7 @@
 #include <fstream>
 #include <string>
 #include <vector>
+#include <unistd.h>
 
 #include "kernels/jacobi.h"
 #include "util/prng.h"
@@ -22,6 +23,7 @@ class CheckpointTest : public ::testing::Test {
   void SetUp() override {
     dir_ = fs::temp_directory_path() /
            ("mcopt_ckpt_" +
+            std::to_string(::getpid()) + "_" +
             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
             "_" + ::testing::UnitTest::GetInstance()
                       ->current_test_info()

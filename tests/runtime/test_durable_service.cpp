@@ -19,6 +19,7 @@
 #include <string>
 #include <thread>
 #include <vector>
+#include <unistd.h>
 
 #include "obs/attribution.h"
 #include "runtime/checkpoint.h"
@@ -41,6 +42,7 @@ class DurableServiceTest : public ::testing::Test {
   void SetUp() override {
     dir_ = fs::temp_directory_path() /
            ("mcopt_dur_" +
+            std::to_string(::getpid()) + "_" +
             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
             "_" + ::testing::UnitTest::GetInstance()
                       ->current_test_info()
@@ -414,6 +416,30 @@ TEST_F(DurableServiceTest, StateWithoutJournalIsATypedRefusal) {
   auto h = ServiceHandle::open(base_config(d));
   ASSERT_FALSE(h.has_value());
   EXPECT_NE(h.error().message.find("journal"), std::string::npos);
+}
+
+TEST_F(DurableServiceTest, LeftoverJournalTempFileOpensFresh) {
+  // A crash inside journal creation leaves at most the temp file the header
+  // is staged in. The journal never existed and nothing was acked, so the
+  // next open is a fresh start that replaces the leftover.
+  const std::string d = subdir("svc");
+  fs::create_directories(d);
+  const fs::path tmp = fs::path(d) / "journal.mjnl.tmp";
+  {
+    std::ofstream partial(tmp, std::ios::binary);
+    partial << "MJNL";
+  }
+  {
+    auto h = ServiceHandle::open(base_config(d));
+    ASSERT_TRUE(h.has_value()) << h.error().message;
+    EXPECT_FALSE(h.value()->recovery_info().restarted);
+    EXPECT_FALSE(fs::exists(tmp));
+    submit_range(*h.value(), 1, 3);
+  }
+  auto h = ServiceHandle::open(base_config(d));
+  ASSERT_TRUE(h.has_value()) << h.error().message;
+  EXPECT_TRUE(h.value()->recovery_info().restarted);
+  EXPECT_EQ(h.value()->recovery_info().replayed_submissions, 3u);
 }
 
 TEST_F(DurableServiceTest, CorruptSnapshotIsATypedRefusal) {

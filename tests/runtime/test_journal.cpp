@@ -20,6 +20,7 @@
 #include <fstream>
 #include <string>
 #include <vector>
+#include <unistd.h>
 
 namespace mcopt::runtime::durable {
 namespace {
@@ -31,6 +32,7 @@ class JournalTest : public ::testing::Test {
   void SetUp() override {
     dir_ = fs::temp_directory_path() /
            ("mcopt_jnl_" +
+            std::to_string(::getpid()) + "_" +
             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
             "_" + ::testing::UnitTest::GetInstance()
                       ->current_test_info()

@@ -18,7 +18,8 @@ const arch::AddressMap kMap;
 TEST(NodePlanner, HealthyNodePlacesEveryShardLocally) {
   arch::NodeTopology node;
   node.num_sockets = 4;
-  const NodeStreamPlan plan = plan_node_stream_shards(3, kMap, node);
+  const std::vector<unsigned> all = {0, 1, 2, 3};
+  const NodeStreamPlan plan = plan_node_stream_shards(3, kMap, node, all, all);
   ASSERT_EQ(plan.shards.size(), 4u);
   EXPECT_DOUBLE_EQ(plan.remote_fraction, 0.0);
   for (unsigned s = 0; s < 4; ++s) {

@@ -195,5 +195,22 @@ TEST(Planner, CustomInterleave) {
   EXPECT_EQ(rows.shift, 512u);
 }
 
+TEST(Planner, FullSetIsTheSurvivingSetOfAllControllers) {
+  // k*stride mod period == (k mod C)*stride when period == C*stride, so the
+  // healthy planner is the degraded one over every controller.
+  for (const arch::InterleaveSpec spec :
+       {arch::InterleaveSpec{}, arch::InterleaveSpec{7, 2, 1}}) {
+    const arch::AddressMap map(spec);
+    std::vector<unsigned> all(spec.num_controllers());
+    for (unsigned c = 0; c < all.size(); ++c) all[c] = c;
+    for (std::size_t k = 1; k <= 9; ++k) {
+      const StreamPlan full = plan_stream_offsets(k, map);
+      const StreamPlan subset = plan_stream_offsets(k, map, all);
+      EXPECT_EQ(full.base_align, subset.base_align) << "k=" << k;
+      EXPECT_EQ(full.offsets, subset.offsets) << "k=" << k;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mcopt::seg

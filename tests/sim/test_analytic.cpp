@@ -107,6 +107,13 @@ TEST(Analytic, AllControllersOfflineRejected) {
   faults.offline_controllers = {0, 1, 2, 3};
   EXPECT_THROW((void)estimate_bandwidth(streams, 4, kCal, kMap, 1.2, faults),
                std::invalid_argument);
+  // The node runs the same per-socket closed form, and its check.
+  const arch::NodeTopology node;
+  const std::vector<std::vector<AnalyticStream>> ss = {streams, {}};
+  const std::vector<unsigned> threads = {4, 0};
+  EXPECT_THROW((void)estimate_node_bandwidth(ss, threads, kCal, kMap, node,
+                                             1.2, faults),
+               std::invalid_argument);
 }
 
 TEST(Analytic, UtilizationBalancedPutsEveryControllerOnTheCriticalPath) {

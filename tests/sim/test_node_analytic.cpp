@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "sim/analytic.h"
 #include "sim/node.h"
 #include "trace/stream_program.h"
+#include "util/prng.h"
 
 namespace mcopt::sim {
 namespace {
@@ -47,18 +50,74 @@ NodeInput two_sockets(const arch::NodeTopology& node, bool remote) {
   return in;
 }
 
+// Bitwise equality (EXPECT_DOUBLE_EQ would forgive four ulps).
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(const AnalyticEstimate& a, const AnalyticEstimate& b) {
+  if (!same_bits(a.service_bandwidth, b.service_bandwidth) ||
+      !same_bits(a.latency_bandwidth, b.latency_bandwidth) ||
+      !same_bits(a.bandwidth, b.bandwidth) || !same_bits(a.balance, b.balance) ||
+      a.mc_utilization.size() != b.mc_utilization.size())
+    return false;
+  for (std::size_t c = 0; c < a.mc_utilization.size(); ++c)
+    if (!same_bits(a.mc_utilization[c], b.mc_utilization[c])) return false;
+  return true;
+}
+
+// The chip is the one-socket node. Over seeded random stream sets, strand
+// counts and controller fault states, every field of the chip estimate
+// equals socket 0 of the one-socket node bit for bit, and the scheduled chip
+// entry equals socket 0 of the one-socket schedule composition.
 TEST(NodeAnalytic, SingleSocketReducesToChipModel) {
   arch::NodeTopology node;
   node.num_sockets = 1;
-  const auto streams = spread({0, 128, 256, 384});
-  const std::vector<std::vector<AnalyticStream>> ss = {streams};
-  const std::vector<unsigned> threads = {64};
-  const NodeEstimate est =
-      estimate_node_bandwidth(ss, threads, kCal, kMap, node, kGhz);
-  const AnalyticEstimate chip =
-      estimate_bandwidth(streams, 64, kCal, kMap, kGhz);
-  EXPECT_NEAR(est.bandwidth, chip.bandwidth, 0.01 * chip.bandwidth);
-  EXPECT_DOUBLE_EQ(est.remote_fraction, 0.0);
+  const std::vector<FaultSpec> states = {
+      FaultSpec{}, spec("mc1:off"), spec("mc2:derate=0.5"),
+      spec("mc0:off,mc3:derate=0.3"), spec("mc1:off,mc2:off")};
+  constexpr arch::Cycles kHorizon = 1'000'000;
+  std::vector<FaultSchedule> schedules;
+  for (const char* text :
+       {"mc1:off@20%..70%", "mc2:derate=0.5@40%",
+        "mc0:off@10%..50%,mc3:derate=0.3@30%..90%",
+        "mc1:off@25%..75%,mc2:off@50%..60%"})
+    schedules.push_back(FaultSchedule::parse(text).value().resolved(kHorizon));
+
+  util::Xoshiro256 rng(21);
+  for (int i = 0; i < 10'000; ++i) {
+    std::vector<AnalyticStream> logical(1 + rng.below(8));
+    for (AnalyticStream& s : logical)
+      s = {rng.below(1u << 20) * 8, rng.below(4) == 0};
+    const std::vector<AnalyticStream> physical = expand_rfo(logical);
+    const std::vector<std::vector<AnalyticStream>> ss = {physical};
+    const std::vector<unsigned> threads = {
+        static_cast<unsigned>(1 + rng.below(64))};
+    const FaultSpec& faults = states[i % states.size()];
+
+    const AnalyticEstimate chip =
+        estimate_bandwidth(physical, threads[0], kCal, kMap, kGhz, faults);
+    const NodeEstimate one =
+        estimate_node_bandwidth(ss, threads, kCal, kMap, node, kGhz, faults);
+    ASSERT_TRUE(same_bits(chip, one.sockets[0].chip))
+        << "input " << i << " faults " << faults.describe();
+    // The node's makespan composition may round differently, no more.
+    ASSERT_NEAR(one.bandwidth, chip.bandwidth, 1e-12 * chip.bandwidth);
+    ASSERT_EQ(one.remote_fraction, 0.0);
+
+    const FaultSchedule& schedule = schedules[i % schedules.size()];
+    const ScheduledEstimate chip_sched = estimate_bandwidth_scheduled(
+        physical, threads[0], kCal, kMap, kGhz, {}, schedule, kHorizon);
+    const ScheduledNodeEstimate node_sched = estimate_node_bandwidth_scheduled(
+        ss, threads, kCal, kMap, node, kGhz, {}, schedule, kHorizon);
+    ASSERT_EQ(chip_sched.epochs.size(), node_sched.epochs.size());
+    for (std::size_t e = 0; e < chip_sched.epochs.size(); ++e)
+      ASSERT_TRUE(same_bits(chip_sched.epochs[e].estimate,
+                            node_sched.epochs[e].estimate.sockets[0].chip))
+          << "input " << i << " epoch " << e;
+    ASSERT_TRUE(same_bits(chip_sched.whole, node_sched.whole.sockets[0].chip))
+        << "input " << i << " schedule " << schedule.describe();
+  }
 }
 
 TEST(NodeAnalytic, LocalBeatsInterleavedBeatsRemote) {
