@@ -21,8 +21,12 @@
 // (and appended to --fail-log for CI artifact upload). --reference runs the
 // fixed reference schedule (mc1:off@25%..75%) and writes the supervised vs
 // unsupervised triad comparison to BENCH_supervisor.json. --sockets N (>= 2)
-// switches to socket-granular NUMA chaos: seeded sock/link fault schedules
-// against the supervised node loop's failover invariants (N1-N3 below).
+// and --flap run one node-chaos driver: seeded socket/link schedules against
+// the supervised node loop's failover (N1-N3) or fail-back (R1-R4)
+// invariants. --kill-service runs the durable kill-restart harness of
+// durable_common.h (K1-K4), the same code as bench/durability and the tier-1
+// DurabilityRegression. Every seeded mode reports failing seeds through
+// bench::FailLog.
 
 #include <algorithm>
 #include <cinttypes>
@@ -37,11 +41,13 @@
 #include <unistd.h>
 #endif
 
+#include <omp.h>
+
 #include "common.h"
+#include "durable_common.h"
 #include "numa_common.h"
 #include "overload_common.h"
 #include "runtime/checkpoint.h"
-#include "runtime/durable/service_handle.h"
 #include "runtime/numa_loop.h"
 #include "runtime/supervised_loop.h"
 #include "seg/integrity.h"
@@ -128,6 +134,18 @@ struct SeedOutcome {
     failures.push_back(what);
   }
 };
+
+/// Closes a soak's fail log, then prints its summary line and, when a seed
+/// failed, how to replay it.
+int finish_soak(bench::FailLog& log, const char* what, std::size_t seeds,
+                const std::string& replay_flags) {
+  const unsigned failed = log.finish();
+  std::printf("\n%s: %zu seeds, %u failing\n", what, seeds, failed);
+  if (failed != 0)
+    std::printf("replay any failure with: chaos_soak %s--seed <N>\n",
+                replay_flags.c_str());
+  return failed == 0 ? 0 : 1;
+}
 
 /// I2: committed migrations place the four stream bases on planned-set
 /// controllers, as spread out as the pigeonhole principle allows.
@@ -472,61 +490,66 @@ int run_flip_sweep(std::size_t n, unsigned sweeps, std::uint64_t seed) {
 }
 
 #ifndef _WIN32
-/// Child body for --kill-resume: a checkpointing native Jacobi solve that
-/// the parent SIGKILLs at a random point.
-[[noreturn]] void kill_resume_child(std::size_t n, unsigned sweeps,
-                                    unsigned every, const std::string& ck) {
+/// The native Jacobi solve of --kill-resume: from the initial field, or
+/// from `resume` when given, up to `sweeps`; with a checkpoint path it saves
+/// every `every` sweeps and at the end. Returns the final field CRC, or why
+/// the resume state or a checkpoint save was refused.
+util::Expected<std::uint32_t> kill_resume_solve(
+    std::size_t n, unsigned sweeps, const runtime::JacobiState* resume,
+    const std::string& ckpt, unsigned every) {
   auto a = kernels::make_jacobi_grid(n, kernels::jacobi_plain_spec());
   auto b = kernels::make_jacobi_grid(n, kernels::jacobi_plain_spec());
   kernels::init_jacobi(a);
   kernels::init_jacobi(b);
   seg::seg_array<double>* cur = &a;
   seg::seg_array<double>* next = &b;
-  for (unsigned done = 0; done < sweeps;) {
+  unsigned done = 0;
+  if (resume != nullptr) {
+    if (const auto st = runtime::apply_jacobi_state(*resume, *cur); !st.ok())
+      return util::Expected<std::uint32_t>::failure(st.error().message);
+    done = static_cast<unsigned>(resume->sweeps);
+  }
+  while (done < sweeps) {
     kernels::jacobi_sweep_seconds(*cur, *next, sched::Schedule::static_block());
     std::swap(cur, next);
     ++done;
-    if (done % every == 0 || done == sweeps)
-      if (!runtime::save_jacobi_checkpoint(ck, *cur, done).ok()) _exit(3);
+    if (!ckpt.empty() && (done % every == 0 || done == sweeps))
+      if (const auto st = runtime::save_jacobi_checkpoint(ckpt, *cur, done);
+          !st.ok())
+        return util::Expected<std::uint32_t>::failure(st.error().message);
   }
-  _exit(0);
+  return field_crc(*cur);
 }
 
 /// --kill-resume mode: fork the checkpointing solve, SIGKILL it at a seeded
 /// random moment (possibly mid-checkpoint-write — the atomic-rename
 /// protocol must leave a loadable file or none), resume from whatever
 /// survives, and require the final field to be bitwise identical to an
-/// uninterrupted run.
+/// uninterrupted run. A child that dies on its own is a failure.
 int run_kill_resume(std::size_t n, unsigned sweeps, unsigned every,
                     const std::vector<std::uint64_t>& seeds) {
+  // One OpenMP thread for the whole mode. libgomp's thread pool does not
+  // survive fork(): a child that reuses a pool the parent started hangs in
+  // its first parallel sweep. And the reference below calibrates the kill
+  // window, so it must time the solve the child runs. A Jacobi sweep has no
+  // reductions, so the field is bitwise the same at any thread count (the
+  // CRC comparison confirms it).
+  omp_set_num_threads(1);
   // Uninterrupted reference (also calibrates the kill window).
-  std::uint32_t ref_crc;
-  double ref_seconds;
-  {
-    auto a = kernels::make_jacobi_grid(n, kernels::jacobi_plain_spec());
-    auto b = kernels::make_jacobi_grid(n, kernels::jacobi_plain_spec());
-    kernels::init_jacobi(a);
-    kernels::init_jacobi(b);
-    seg::seg_array<double>* cur = &a;
-    seg::seg_array<double>* next = &b;
-    util::Timer timer;
-    for (unsigned done = 0; done < sweeps; ++done) {
-      kernels::jacobi_sweep_seconds(*cur, *next,
-                                    sched::Schedule::static_block());
-      std::swap(cur, next);
-    }
-    ref_seconds = timer.seconds();
-    ref_crc = field_crc(*cur);
-  }
+  util::Timer timer;
+  const std::uint32_t ref_crc =
+      kill_resume_solve(n, sweeps, nullptr, "", every).value();
+  const double ref_seconds = timer.seconds();
   std::printf("# kill-and-resume: Jacobi %zux%zu, %u sweeps, checkpoint "
               "every %u; reference FIELD_CRC=0x%08x (%.3fs)\n\n",
               n, n, sweeps, every, ref_crc, ref_seconds);
 
   unsigned failures = 0;
+  unsigned resumed_mid_run = 0;
   for (const std::uint64_t seed : seeds) {
     util::Xoshiro256 rng(seed);
-    const std::string ck =
-        "chaos_kill_" + std::to_string(seed) + ".ckpt";
+    const std::string ck = bench::scratch_path("chaos_kill", seed).string() +
+                           ".ckpt";
     std::remove(ck.c_str());
     std::remove((ck + ".tmp").c_str());
 
@@ -535,7 +558,8 @@ int run_kill_resume(std::size_t n, unsigned sweeps, unsigned every,
       std::fprintf(stderr, "chaos_soak: fork failed\n");
       return 2;
     }
-    if (pid == 0) kill_resume_child(n, sweeps, every, ck);
+    if (pid == 0)
+      _exit(kill_resume_solve(n, sweeps, nullptr, ck, every) ? 0 : 3);
 
     // The child also pays fork/init and one fsync per checkpoint, so its
     // wall time exceeds the reference's; a window of several multiples
@@ -551,290 +575,79 @@ int run_kill_resume(std::size_t n, unsigned sweeps, unsigned every,
     // Resume from whatever the dead child left behind. A missing file means
     // it died before the first checkpoint: start over. A present file MUST
     // load — a refusal here would mean the atomic-rename protocol tore.
-    auto a = kernels::make_jacobi_grid(n, kernels::jacobi_plain_spec());
-    auto b = kernels::make_jacobi_grid(n, kernels::jacobi_plain_spec());
-    kernels::init_jacobi(a);
-    kernels::init_jacobi(b);
-    seg::seg_array<double>* cur = &a;
-    seg::seg_array<double>* next = &b;
-    unsigned done = 0;
+    std::string failure;
     std::string note = "no checkpoint yet";
-    auto state = runtime::load_jacobi_checkpoint(ck);
-    if (state) {
-      if (!runtime::apply_jacobi_state(state.value(), *cur).ok()) {
-        std::printf("seed %" PRIu64 ": FAIL (checkpoint state rejected)\n",
-                    seed);
-        ++failures;
-        continue;
+    std::uint32_t crc = 0;
+    if (WIFEXITED(wstatus) && WEXITSTATUS(wstatus) != 0) {
+      failure = "checkpointing child exited with status " +
+                std::to_string(WEXITSTATUS(wstatus)) +
+                (WEXITSTATUS(wstatus) == 3 ? " (a checkpoint save failed)" : "");
+    } else if (WIFSIGNALED(wstatus) && WTERMSIG(wstatus) != SIGKILL) {
+      failure = "checkpointing child died of signal " +
+                std::to_string(WTERMSIG(wstatus));
+    } else {
+      const auto state = runtime::load_jacobi_checkpoint(ck);
+      if (!state && state.error().message.find("cannot open") ==
+                        std::string::npos) {
+        failure = state.error().message;  // a torn write escaped the protocol
+      } else {
+        const auto solved = kill_resume_solve(
+            n, sweeps, state ? &state.value() : nullptr, "", every);
+        if (!solved) {
+          failure = "checkpoint state rejected: " + solved.error().message;
+        } else {
+          crc = solved.value();
+          if (state) {
+            note = "resumed at sweep " + std::to_string(state.value().sweeps);
+            if (state.value().sweeps < sweeps) ++resumed_mid_run;
+          }
+        }
       }
-      done = static_cast<unsigned>(state.value().sweeps);
-      note = "resumed at sweep " + std::to_string(done);
-    } else if (state.error().message.find("cannot open") == std::string::npos) {
-      // File exists but refused to load: torn write escaped the protocol.
-      std::printf("seed %" PRIu64 ": FAIL (%s)\n", seed,
-                  state.error().message.c_str());
+    }
+    std::remove(ck.c_str());
+    std::remove((ck + ".tmp").c_str());
+    if (!failure.empty()) {
+      std::printf("seed %" PRIu64 ": FAIL (%s)\n", seed, failure.c_str());
       ++failures;
       continue;
     }
-    for (; done < sweeps; ++done) {
-      kernels::jacobi_sweep_seconds(*cur, *next,
-                                    sched::Schedule::static_block());
-      std::swap(cur, next);
-    }
-    const std::uint32_t crc = field_crc(*cur);
     const bool ok = crc == ref_crc;
     std::printf("seed %" PRIu64 ": killed at %.3fs, %s -> FIELD_CRC=0x%08x "
                 "%s\n",
                 seed, kill_after, note.c_str(), crc, ok ? "PASS" : "FAIL");
     if (!ok) ++failures;
-    std::remove(ck.c_str());
-    std::remove((ck + ".tmp").c_str());
   }
-  std::printf("\nkill-and-resume: %zu seeds, %u failing\n", seeds.size(),
-              failures);
+  std::printf("\nkill-and-resume: %zu seeds, %u failing, %u resumed "
+              "mid-run from a checkpoint\n",
+              seeds.size(), failures, resumed_mid_run);
   return failures == 0 ? 0 : 1;
 }
 
-// --- durable-service kill chaos: --kill-service ---------------------------
-
-/// Two-tenant accounting-mode durable service; tenant 2's tight byte quota
-/// makes door sheds part of the reconciled history (same shape as the
-/// tier-1 DurabilityRegression, seed-perturbed job sizes).
-runtime::durable::DurableConfig kill_service_config(const std::string& dir) {
-  runtime::durable::DurableConfig cfg;
-  cfg.dir = dir;
-  cfg.service.executor.num_workers = 2;
-  cfg.service.executor.run_kernels = false;
-  cfg.service.executor.lane_capacity = {4096, 4096, 4096};
-  cfg.service.executor.seed = 99;
-  cfg.tenants.push_back({.name = "steady",
-                         .weight = 2.0,
-                         .slo = runtime::service::SloClass::kBatch});
-  cfg.tenants.push_back({.name = "capped",
-                         .weight = 1.0,
-                         .quota_bytes_per_s = 250000.0,
-                         .burst_seconds = 1.0,
-                         .slo = runtime::service::SloClass::kBatch,
-                         .breaker_trip_threshold = 6});
-  return cfg;
-}
-
-constexpr std::uint64_t kKillServiceJobs = 48;
-constexpr std::uint64_t kKillServiceBatch = 8;
-
-runtime::exec::JobSpec kill_service_job(std::uint64_t seed, std::uint64_t id) {
-  runtime::exec::JobSpec spec;
-  spec.kind = runtime::exec::JobKind::kTriad;
-  spec.n = 2048 + 128 * ((id + seed) % 5);
-  spec.iterations = 1 + static_cast<unsigned>(id % 3);
-  spec.arrival = id * 20000;
-  return spec;
-}
-
-runtime::service::TenantId kill_service_tenant(std::uint64_t id) {
-  return 1 + static_cast<runtime::service::TenantId>(id % 2);
-}
-
-/// Records "every id <= max_id is acked" — written only AFTER flush()
-/// returned and fsync'd before the rename, so the marker never overstates
-/// what the journal committed.
-void write_service_ack(const std::string& dir, std::uint64_t max_id) {
-  const std::string tmp = dir + "/acked.tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return;
-  std::fprintf(f, "%llu\n", static_cast<unsigned long long>(max_id));
-  std::fflush(f);
-  fsync(fileno(f));
-  std::fclose(f);
-  std::rename(tmp.c_str(), (dir + "/acked.txt").c_str());
-}
-
-std::uint64_t read_service_ack(const std::string& dir) {
-  std::FILE* f = std::fopen((dir + "/acked.txt").c_str(), "rb");
-  if (f == nullptr) return 0;
-  unsigned long long v = 0;
-  const int got = std::fscanf(f, "%llu", &v);
-  std::fclose(f);
-  return got == 1 ? v : 0;
-}
-
-/// The child's serving loop: batch submissions, group-commit (ack) each
-/// batch, pump outcomes, checkpoint occasionally, sleep between batches so
-/// the parent's SIGKILL lands mid-stream.
-bool kill_service_workload(const std::string& dir, std::uint64_t seed,
-                           unsigned inter_batch_us) {
-  auto handle =
-      runtime::durable::ServiceHandle::open(kill_service_config(dir));
-  if (!handle) return false;
-  runtime::durable::ServiceHandle& h = *handle.value();
-  for (std::uint64_t first = 1; first <= kKillServiceJobs;
-       first += kKillServiceBatch) {
-    const std::uint64_t last =
-        std::min(kKillServiceJobs, first + kKillServiceBatch - 1);
-    for (std::uint64_t id = first; id <= last; ++id)
-      (void)h.submit(kill_service_tenant(id), id, kill_service_job(seed, id));
-    if (!h.flush().ok()) return false;
-    write_service_ack(dir, last);
-    (void)h.pump();
-    if (((first / kKillServiceBatch) % 3) == 2 && !h.checkpoint().ok())
-      return false;
-    if (inter_batch_us > 0) usleep(inter_batch_us);
-  }
-  return h.drain(nullptr).ok();
-}
-
-/// --kill-service mode: fork the durable serving loop, SIGKILL it at a
-/// seeded random instant (possibly mid-journal-write), restart on the same
-/// directory, and hold the crash-consistency invariants:
-///
-///   K1  recovery always succeeds — a torn tail is truncated and reported,
-///       never refused;
-///   K2  zero acknowledged-submission loss: every id at or below the
-///       child's last durable ack marker is known after restart;
-///   K3  byte-exact ledger reconciliation: after the client retries the
-///       whole stream (duplicates dedupe) and drains, per-tenant completed
-///       counts, served bytes, and typed sheds equal an uninterrupted
-///       reference run's — no loss AND no double execution;
-///   K4  replay idempotence: a further restart is sealed, re-tears nothing,
-///       and reports the same ledger.
+/// --kill-service mode: the durable kill-restart harness (durable_common.h,
+/// invariants K1-K4) at a seeded random kill instant per seed, possibly
+/// mid-journal-write, on a seed-perturbed job stream.
 int run_kill_service(const std::vector<std::uint64_t>& seeds,
                      const std::string& fail_path) {
-  namespace fs = std::filesystem;
-  unsigned failures = 0;
-  std::FILE* fail_log = nullptr;
+  bench::FailLog log(fail_path);
   for (const std::uint64_t seed : seeds) {
     util::Xoshiro256 rng(seed);
-    const fs::path root =
-        fs::temp_directory_path() / ("chaos_killsvc_" + std::to_string(seed));
+    const unsigned kill_after_us = 500 + static_cast<unsigned>(rng() % 30000);
+    bench::DurableWorkload workload;
+    workload.seed = seed;
+    workload.jobs = 48;
+    workload.batch = 8;
+    const std::filesystem::path root = bench::scratch_path("chaos_killsvc", seed);
     std::error_code ec;
-    fs::remove_all(root, ec);
-    fs::create_directories(root / "ref");
-    fs::create_directories(root / "kill");
-    const std::string ref_dir = (root / "ref").string();
-    const std::string kill_dir = (root / "kill").string();
-    std::vector<std::string> fails;
-
-    // Uninterrupted reference: the ledger the killed run must reconcile to.
-    std::vector<runtime::durable::TenantLedger> want;
-    if (!kill_service_workload(ref_dir, seed, 0)) {
-      fails.emplace_back("reference run failed");
-    } else {
-      auto ref = runtime::durable::ServiceHandle::open(
-          kill_service_config(ref_dir));
-      if (!ref)
-        fails.emplace_back("reference reopen refused: " + ref.error().message);
-      else
-        want = ref.value()->ledger();
-    }
-
-    const unsigned kill_after_us =
-        fails.empty() ? 500 + static_cast<unsigned>(rng() % 30000) : 0;
-    if (fails.empty()) {
-      const pid_t pid = fork();
-      if (pid < 0) {
-        std::fprintf(stderr, "chaos_soak: fork failed\n");
-        return 2;
-      }
-      if (pid == 0) {
-        const bool ok = kill_service_workload(kill_dir, seed, 3000);
-        _exit(ok ? 0 : 42);
-      }
-      usleep(kill_after_us);
-      kill(pid, SIGKILL);
-      int wstatus = 0;
-      waitpid(pid, &wstatus, 0);
-      if (WIFEXITED(wstatus) && WEXITSTATUS(wstatus) != 0)
-        fails.emplace_back("child failed before the kill landed");
-    }
-
-    if (fails.empty()) {
-      const std::uint64_t acked = read_service_ack(kill_dir);
-      auto handle = runtime::durable::ServiceHandle::open(
-          kill_service_config(kill_dir));
-      if (!handle) {
-        // K1: refusal after SIGKILL means recovery broke.
-        fails.emplace_back("recovery refused: " + handle.error().message);
-      } else {
-        runtime::durable::ServiceHandle& h = *handle.value();
-        for (std::uint64_t id = 1; id <= acked; ++id)
-          if (h.poll(id).state ==
-              runtime::durable::SubmissionState::kUnknown) {
-            fails.emplace_back("acked id " + std::to_string(id) +
-                               " lost (K2)");
-            break;
-          }
-        for (std::uint64_t id = 1; id <= kKillServiceJobs; ++id)
-          (void)h.submit(kill_service_tenant(id), id,
-                         kill_service_job(seed, id));
-        if (!h.flush().ok() || !h.drain(nullptr).ok()) {
-          fails.emplace_back("recovery drain failed");
-        } else {
-          const auto got = h.ledger();
-          if (got.size() != want.size()) {
-            fails.emplace_back("ledger width diverged");
-          } else {
-            for (std::size_t i = 0; i < want.size(); ++i)
-              if (got[i].completed != want[i].completed ||
-                  got[i].served_bytes != want[i].served_bytes ||
-                  got[i].sheds != want[i].sheds)
-                fails.emplace_back(
-                    "tenant " + std::to_string(i + 1) +
-                    " ledger diverged (K3): completed " +
-                    std::to_string(got[i].completed) + "/" +
-                    std::to_string(want[i].completed) + " bytes " +
-                    std::to_string(got[i].served_bytes) + "/" +
-                    std::to_string(want[i].served_bytes) + " sheds " +
-                    std::to_string(got[i].sheds) + "/" +
-                    std::to_string(want[i].sheds));
-          }
-        }
-      }
-      // K4: the post-recovery state reopens sealed with the same ledger.
-      if (fails.empty()) {
-        auto again = runtime::durable::ServiceHandle::open(
-            kill_service_config(kill_dir));
-        if (!again) {
-          fails.emplace_back("post-drain reopen refused: " +
-                             again.error().message);
-        } else {
-          const auto& info = again.value()->recovery_info();
-          if (!info.was_sealed)
-            fails.emplace_back("post-drain journal not sealed (K4)");
-          if (info.dropped_bytes != 0)
-            fails.emplace_back("post-drain reopen re-tore the tail (K4)");
-          const auto still = again.value()->ledger();
-          for (std::size_t i = 0; i < want.size() && i < still.size(); ++i)
-            if (still[i].served_bytes != want[i].served_bytes)
-              fails.emplace_back("sealed ledger diverged (K4), tenant " +
-                                 std::to_string(i + 1));
-        }
-      }
-    }
+    std::filesystem::remove_all(root, ec);
+    const auto out = bench::run_kill_restart(root, workload, kill_after_us);
+    std::filesystem::remove_all(root, ec);
 
     std::printf("seed %" PRIu64 ": kill@%uus -> %s\n", seed, kill_after_us,
-                fails.empty() ? "PASS" : "FAIL");
-    if (!fails.empty()) {
-      ++failures;
-      if (fail_log == nullptr && !fail_path.empty())
-        fail_log = std::fopen(fail_path.c_str(), "a");
-      if (fail_log != nullptr)
-        std::fprintf(fail_log, "kill-service seed %" PRIu64 "\n", seed);
-      for (const auto& f : fails) {
-        std::printf("  %s\n", f.c_str());
-        if (fail_log != nullptr) std::fprintf(fail_log, "  %s\n", f.c_str());
-      }
-    }
-    fs::remove_all(root, ec);
+                out.failures.empty() ? "PASS" : "FAIL");
+    for (const auto& f : out.failures) std::printf("  %s\n", f.c_str());
+    log.add("kill-service seed " + std::to_string(seed), out.failures);
   }
-  if (fail_log != nullptr) std::fclose(fail_log);
-  std::printf("\nkill-service: %zu seeds, %u failing\n", seeds.size(),
-              failures);
-  if (failures != 0) {
-    bench::attach_failure_artifacts(fail_path);
-    std::printf("replay any failure with: chaos_soak --kill-service "
-                "--seed <N>\n");
-  }
-  return failures == 0 ? 0 : 1;
+  return finish_soak(log, "kill-service", seeds.size(), "--kill-service ");
 }
 #endif  // !_WIN32
 
@@ -850,8 +663,7 @@ int run_kill_service(const std::vector<std::uint64_t>& seeds,
 int run_overload_chaos(const std::vector<std::uint64_t>& seeds, unsigned jobs,
                        unsigned workers, double ratio,
                        const std::string& fail_path) {
-  unsigned failures = 0;
-  std::FILE* fail_log = nullptr;
+  bench::FailLog log(fail_path);
   for (const std::uint64_t seed : seeds) {
     const bench::OverloadParams params =
         bench::overload_chaos_params(seed, jobs, workers, ratio);
@@ -861,34 +673,35 @@ int run_overload_chaos(const std::vector<std::uint64_t>& seeds, unsigned jobs,
                 " completed, %" PRIu64 " replans, %s\n",
                 seed, res.goodput_gbs, res.stats.completed,
                 res.stats.replans, fails.empty() ? "PASS" : "FAIL");
-    if (!fails.empty()) {
-      ++failures;
-      if (fail_log == nullptr && !fail_path.empty())
-        fail_log = std::fopen(fail_path.c_str(), "a");
-      if (fail_log != nullptr)
-        std::fprintf(fail_log, "overload seed %" PRIu64 "\n", seed);
-      for (const auto& f : fails) {
-        std::printf("  %s\n", f.c_str());
-        if (fail_log != nullptr) std::fprintf(fail_log, "  %s\n", f.c_str());
-      }
-    }
+    for (const auto& f : fails) std::printf("  %s\n", f.c_str());
+    log.add("overload seed " + std::to_string(seed), fails);
   }
-  if (fail_log != nullptr) std::fclose(fail_log);
-  std::printf("\noverload chaos: %zu seeds, %u failing\n", seeds.size(),
-              failures);
-  if (failures != 0) {
-    bench::attach_failure_artifacts(fail_path);
-    std::printf("replay any failure with: chaos_soak --overload --seed <N>\n");
-  }
-  return failures == 0 ? 0 : 1;
+  return finish_soak(log, "overload chaos", seeds.size(), "--overload ");
 }
 
-// --- NUMA socket chaos: --sockets N ---------------------------------------
+// --- node chaos: --sockets N and --flap -----------------------------------
 
-/// --sockets N (N >= 2) mode: seeded socket-granular fault schedules
-/// (sock:off, sock:derate, link derate/off — bench::numa_chaos_schedule, so
-/// the regression tier replays seeds bit-for-bit) against the supervised
-/// node loop. Invariants:
+/// N2 / R1 placement soundness of one committed migration: every job's
+/// compute and home socket lie inside the replan's healthy set.
+void check_placements(const runtime::NodeReplanRecord& replan,
+                      const std::string& what, const char* set,
+                      SeedOutcome& out) {
+  for (const runtime::NodeJob& job : replan.jobs) {
+    bool compute_ok = false;
+    bool home_ok = false;
+    for (const unsigned h : replan.healthy_sockets) {
+      compute_ok |= (job.compute_socket == h);
+      home_ok |= (job.home_socket == h);
+    }
+    if (!compute_ok || !home_ok)
+      out.fail(what + " on socket " + std::to_string(job.compute_socket) +
+               " homed " + std::to_string(job.home_socket) +
+               " outside the replan's " + set);
+  }
+}
+
+/// --sockets N (N >= 2) invariants, against a failover schedule where a
+/// dead socket stays dead:
 ///
 ///   N1  cross-socket supervision never loses: supervised node bandwidth
 ///       >= unsupervised * (1 - eps) under the same schedule and the same
@@ -896,9 +709,96 @@ int run_overload_chaos(const std::vector<std::uint64_t>& seeds, unsigned jobs,
 ///   N2  failover is sound: after every committed migration each job's
 ///       compute and home socket lie inside that replan's healthy set;
 ///   N3  no thrash: committed replans <= schedule transitions + 1.
-int run_numa_chaos(const std::vector<std::uint64_t>& seeds, unsigned sockets,
-                   const SoakParams& params, const std::string& fail_path,
-                   bench::ObsGuard& obs) {
+void judge_failover(const runtime::NodeLoopResult& sup,
+                    const runtime::NodeLoopResult& unsup,
+                    const sim::FaultSchedule& resolved, SeedOutcome& out) {
+  if (sup.bandwidth < unsup.bandwidth * 0.98)
+    out.fail("N1: supervised " + std::to_string(sup.bandwidth / 1e9) +
+             " GB/s < unsupervised " + std::to_string(unsup.bandwidth / 1e9) +
+             " GB/s");
+  for (const runtime::NodeReplanRecord& replan : sup.replan_log)
+    check_placements(replan, "N2: job", "healthy set", out);
+  const unsigned replan_budget =
+      static_cast<unsigned>(resolved.event_count()) + 1;
+  if (sup.replans > replan_budget)
+    out.fail("N3: " + std::to_string(sup.replans) + " replans exceed budget " +
+             std::to_string(replan_budget) + " (thrash)");
+
+  std::printf("  supervised %.2f GB/s (replans=%u suppressed=%u "
+              "declined=%u) unsupervised %.2f GB/s -> %s\n",
+              sup.bandwidth / 1e9, sup.replans, sup.suppressed, sup.declined,
+              unsup.bandwidth / 1e9, out.pass ? "PASS" : "FAIL");
+}
+
+/// --flap invariants, against an outage-and-return or flapping-socket
+/// schedule where every fault clears mid-run:
+///
+///   R1  placements are sound: after every committed migration each shard's
+///       compute and home socket lie inside that replan's believed-healthy
+///       set, and every moved range came through CRC-verified (the loop
+///       aborts on mismatch; the per-replan counts must reconcile);
+///   R2  no thrash: committed replans <= schedule events + completed
+///       readmission ramps + 1 — the breaker's geometric escalation is what
+///       holds this under a flapping socket;
+///   R3  the prober is live: any run that quarantined a socket must have
+///       issued at least one canary probe, and every confirmed recovery
+///       implies a probe;
+///   R4  recovery roughly pays: supervised bandwidth >= unsupervised *0.90
+///       under the same schedule (the break-even gate prices migrations
+///       against a fault that may clear early, so a thin loss is tolerated;
+///       a deep one means the gate or the ramp broke).
+void judge_recovery(const runtime::NodeLoopResult& sup,
+                    const runtime::NodeLoopResult& unsup,
+                    const sim::FaultSchedule& resolved, unsigned sockets,
+                    SeedOutcome& out) {
+  unsigned crc_total = 0;
+  bool quarantined = false;
+  for (const runtime::NodeReplanRecord& replan : sup.replan_log) {
+    quarantined |= replan.healthy_sockets.size() < sockets;
+    crc_total += replan.crc_ranges_verified;
+    if (replan.moved_bytes > 0 && replan.crc_ranges_verified == 0)
+      out.fail("R1: migration moved " + std::to_string(replan.moved_bytes) +
+               " bytes with zero CRC-verified ranges");
+    check_placements(replan, "R1: shard", "believed-healthy set", out);
+  }
+  if (crc_total != sup.crc_ranges_verified)
+    out.fail("R1: per-replan CRC counts (" + std::to_string(crc_total) +
+             ") do not reconcile with the run total (" +
+             std::to_string(sup.crc_ranges_verified) + ")");
+
+  const unsigned replan_budget =
+      static_cast<unsigned>(resolved.event_count()) + sup.readmissions + 1;
+  if (sup.replans > replan_budget)
+    out.fail("R2: " + std::to_string(sup.replans) + " replans exceed budget " +
+             std::to_string(replan_budget) +
+             " (thrash under a clearing fault)");
+
+  if (quarantined && sup.probes == 0)
+    out.fail("R3: socket quarantined but no canary probe issued");
+  if (sup.recoveries > 0 && sup.probes == 0)
+    out.fail("R3: recovery confirmed without a probe");
+
+  if (sup.bandwidth < unsup.bandwidth * 0.90)
+    out.fail("R4: supervised " + std::to_string(sup.bandwidth / 1e9) +
+             " GB/s < 0.90x unsupervised " +
+             std::to_string(unsup.bandwidth / 1e9) + " GB/s");
+
+  std::printf("  supervised %.2f GB/s (replans=%u probes=%u recoveries=%u "
+              "readmissions=%u) unsupervised %.2f GB/s -> %s\n",
+              sup.bandwidth / 1e9, sup.replans, sup.probes, sup.recoveries,
+              sup.readmissions, unsup.bandwidth / 1e9,
+              out.pass ? "PASS" : "FAIL");
+}
+
+/// --sockets N and --flap: seeded socket-granular fault schedules against
+/// the supervised node loop. `recovery` (--flap) draws
+/// bench::numa_recovery_schedule and judges R1-R4; otherwise the draw is
+/// bench::numa_chaos_schedule (sock:off, sock:derate, link derate/off) and
+/// the judge N1-N3. Both draws live in numa_common.h so the regression
+/// tier replays seeds bit-for-bit.
+int run_node_chaos(bool recovery, const std::vector<std::uint64_t>& seeds,
+                   unsigned sockets, const SoakParams& params,
+                   const std::string& fail_path, bench::ObsGuard& obs) {
   runtime::NodeLoopConfig base;
   base.node.node.num_sockets = sockets;
   base.detector.recovery = params.recovery;
@@ -916,6 +816,9 @@ int run_numa_chaos(const std::vector<std::uint64_t>& seeds, unsigned sockets,
   while (base.threads > 2 &&
          bench::convoy_resonant(params.n, base.threads, map))
     --base.threads;
+  if (recovery)
+    bench::warn_if_convoy_resonant("chaos_soak --flap", params.n, base.threads,
+                                   map);
   base.slices = params.slices;
 
   // One healthy probe resolves every seed's percent-relative stamps.
@@ -925,18 +828,20 @@ int run_numa_chaos(const std::vector<std::uint64_t>& seeds, unsigned sockets,
   const arch::Cycles horizon =
       runtime::run_supervised_node_triad(params.n, probe).total_cycles;
 
-  std::printf("# NUMA chaos: %u sockets, triad n=%zu, %u strands/job, %u "
-              "slices, horizon %" PRIu64 "\n",
-              sockets, params.n, base.threads, base.slices,
-              static_cast<std::uint64_t>(horizon));
+  const char* title = recovery ? "recovery chaos" : "NUMA chaos";
+  std::printf("# %s: %u sockets, triad n=%zu, %u strands/job, %u slices, "
+              "horizon %" PRIu64 "%s\n",
+              title, sockets, params.n, base.threads, base.slices,
+              static_cast<std::uint64_t>(horizon),
+              recovery ? " (every fault clears mid-run)" : "");
 
-  unsigned failures = 0;
-  std::FILE* fail_log = nullptr;
+  bench::FailLog log(fail_path);
   for (const std::uint64_t seed : seeds) {
     SeedOutcome out;
     util::Xoshiro256 rng(seed);
     const sim::FaultSchedule resolved =
-        bench::numa_chaos_schedule(rng, sockets).resolved(horizon);
+        recovery ? bench::numa_recovery_schedule(rng, sockets, horizon)
+                 : bench::numa_chaos_schedule(rng, sockets).resolved(horizon);
     const auto status = resolved.check(base.node.sim.interleave, sockets);
     if (!status.ok()) {
       out.fail("generator produced invalid schedule: " +
@@ -956,208 +861,18 @@ int run_numa_chaos(const std::vector<std::uint64_t>& seeds, unsigned sockets,
                            sup.socket_timelines[s]);
       cfg.supervise = false;
       const auto unsup = runtime::run_supervised_node_triad(params.n, cfg);
-
-      if (sup.bandwidth < unsup.bandwidth * 0.98)
-        out.fail("N1: supervised " + std::to_string(sup.bandwidth / 1e9) +
-                 " GB/s < unsupervised " +
-                 std::to_string(unsup.bandwidth / 1e9) + " GB/s");
-      for (const runtime::NodeReplanRecord& replan : sup.replan_log)
-        for (const runtime::NodeJob& job : replan.jobs) {
-          bool compute_ok = false;
-          bool home_ok = false;
-          for (const unsigned h : replan.healthy_sockets) {
-            compute_ok |= (job.compute_socket == h);
-            home_ok |= (job.home_socket == h);
-          }
-          if (!compute_ok || !home_ok)
-            out.fail("N2: job on socket " +
-                     std::to_string(job.compute_socket) + " homed " +
-                     std::to_string(job.home_socket) +
-                     " outside the replan's healthy set");
-        }
-      const unsigned replan_budget =
-          static_cast<unsigned>(resolved.event_count()) + 1;
-      if (sup.replans > replan_budget)
-        out.fail("N3: " + std::to_string(sup.replans) +
-                 " replans exceed budget " + std::to_string(replan_budget) +
-                 " (thrash)");
-
-      std::printf("  supervised %.2f GB/s (replans=%u suppressed=%u "
-                  "declined=%u) unsupervised %.2f GB/s -> %s\n",
-                  sup.bandwidth / 1e9, sup.replans, sup.suppressed,
-                  sup.declined, unsup.bandwidth / 1e9,
-                  out.pass ? "PASS" : "FAIL");
+      if (recovery)
+        judge_recovery(sup, unsup, resolved, sockets, out);
+      else
+        judge_failover(sup, unsup, resolved, out);
     }
     for (const auto& f : out.failures) std::printf("    %s\n", f.c_str());
-    if (!out.pass) {
-      ++failures;
-      if (fail_log == nullptr && !fail_path.empty())
-        fail_log = std::fopen(fail_path.c_str(), "a");
-      if (fail_log != nullptr) {
-        std::fprintf(fail_log, "numa seed %" PRIu64 "\n", seed);
-        for (const auto& f : out.failures)
-          std::fprintf(fail_log, "  %s\n", f.c_str());
-      }
-    }
+    log.add((recovery ? "flap seed " : "numa seed ") + std::to_string(seed),
+            out.failures);
   }
-  if (fail_log != nullptr) std::fclose(fail_log);
-
-  std::printf("\nNUMA chaos: %zu seeds, %u failing\n", seeds.size(), failures);
-  if (failures != 0) {
-    bench::attach_failure_artifacts(fail_path);
-    std::printf("replay any failure with: chaos_soak --sockets %u --seed <N>\n",
-                sockets);
-  }
-  return failures == 0 ? 0 : 1;
-}
-
-// --- recovery chaos: --flap -----------------------------------------------
-
-/// --flap mode: seeded outage-and-return / flapping-socket schedules
-/// (bench::numa_recovery_schedule — every fault CLEARS mid-run) against the
-/// supervised node loop's fail-back path. Invariants:
-///
-///   R1  placements are sound: after every committed migration each shard's
-///       compute and home socket lie inside that replan's believed-healthy
-///       set, and every moved range came through CRC-verified (the loop
-///       aborts on mismatch; the per-replan counts must reconcile);
-///   R2  no thrash: committed replans <= schedule events + completed
-///       readmission ramps + 1 — the breaker's geometric escalation is what
-///       holds this under a flapping socket;
-///   R3  the prober is live: any run that quarantined a socket must have
-///       issued at least one canary probe, and every confirmed recovery
-///       implies a probe;
-///   R4  recovery roughly pays: supervised bandwidth >= unsupervised *0.90
-///       under the same schedule (the break-even gate prices migrations
-///       against a fault that may clear early, so a thin loss is tolerated;
-///       a deep one means the gate or the ramp broke).
-int run_recovery_chaos(const std::vector<std::uint64_t>& seeds,
-                       unsigned sockets, const SoakParams& params,
-                       const std::string& fail_path, bench::ObsGuard& obs) {
-  runtime::NodeLoopConfig base;
-  base.node.node.num_sockets = sockets;
-  base.detector.recovery = params.recovery;
-  base.node.validate();
-  obs.apply(base.node.sim);
-  base.threads = std::min(
-      params.threads, base.node.sim.topology.max_threads() / sockets);
-  const arch::AddressMap map(base.node.sim.interleave);
-  while (base.threads > 2 &&
-         bench::convoy_resonant(params.n, base.threads, map))
-    --base.threads;
-  bench::warn_if_convoy_resonant("chaos_soak --flap", params.n, base.threads,
-                                 map);
-  base.slices = params.slices;
-
-  runtime::NodeLoopConfig probe = base;
-  probe.supervise = false;
-  probe.node.sim.mc_sample_cadence = 0;
-  const arch::Cycles horizon =
-      runtime::run_supervised_node_triad(params.n, probe).total_cycles;
-
-  std::printf("# recovery chaos: %u sockets, triad n=%zu, %u strands/job, %u "
-              "slices, horizon %" PRIu64 " (every fault clears mid-run)\n",
-              sockets, params.n, base.threads, base.slices,
-              static_cast<std::uint64_t>(horizon));
-
-  unsigned failures = 0;
-  std::FILE* fail_log = nullptr;
-  for (const std::uint64_t seed : seeds) {
-    SeedOutcome out;
-    util::Xoshiro256 rng(seed);
-    const sim::FaultSchedule resolved =
-        bench::numa_recovery_schedule(rng, sockets, horizon);
-    const auto status = resolved.check(base.node.sim.interleave, sockets);
-    if (!status.ok()) {
-      out.fail("generator produced invalid schedule: " +
-               status.error().message);
-    } else {
-      std::printf("seed %" PRIu64 ": schedule %s\n", seed,
-                  resolved.describe().c_str());
-      runtime::NodeLoopConfig cfg = base;
-      cfg.seed = seed;
-      cfg.node.sim.fault_schedule = resolved;
-      cfg.supervise = true;
-      const auto sup = runtime::run_supervised_node_triad(params.n, cfg);
-      cfg.supervise = false;
-      const auto unsup = runtime::run_supervised_node_triad(params.n, cfg);
-
-      // R1: sound, CRC-verified placements.
-      unsigned crc_total = 0;
-      bool quarantined = false;
-      for (const runtime::NodeReplanRecord& replan : sup.replan_log) {
-        quarantined |= replan.healthy_sockets.size() < sockets;
-        crc_total += replan.crc_ranges_verified;
-        if (replan.moved_bytes > 0 && replan.crc_ranges_verified == 0)
-          out.fail("R1: migration moved " +
-                   std::to_string(replan.moved_bytes) +
-                   " bytes with zero CRC-verified ranges");
-        for (const runtime::NodeJob& job : replan.jobs) {
-          bool compute_ok = false;
-          bool home_ok = false;
-          for (const unsigned h : replan.healthy_sockets) {
-            compute_ok |= (job.compute_socket == h);
-            home_ok |= (job.home_socket == h);
-          }
-          if (!compute_ok || !home_ok)
-            out.fail("R1: shard on socket " +
-                     std::to_string(job.compute_socket) + " homed " +
-                     std::to_string(job.home_socket) +
-                     " outside the replan's believed-healthy set");
-        }
-      }
-      if (crc_total != sup.crc_ranges_verified)
-        out.fail("R1: per-replan CRC counts (" + std::to_string(crc_total) +
-                 ") do not reconcile with the run total (" +
-                 std::to_string(sup.crc_ranges_verified) + ")");
-
-      // R2: bounded replans.
-      const unsigned replan_budget =
-          static_cast<unsigned>(resolved.event_count()) + sup.readmissions + 1;
-      if (sup.replans > replan_budget)
-        out.fail("R2: " + std::to_string(sup.replans) +
-                 " replans exceed budget " + std::to_string(replan_budget) +
-                 " (thrash under a clearing fault)");
-
-      // R3: prober liveness.
-      if (quarantined && sup.probes == 0)
-        out.fail("R3: socket quarantined but no canary probe issued");
-      if (sup.recoveries > 0 && sup.probes == 0)
-        out.fail("R3: recovery confirmed without a probe");
-
-      // R4: recovery roughly pays.
-      if (sup.bandwidth < unsup.bandwidth * 0.90)
-        out.fail("R4: supervised " + std::to_string(sup.bandwidth / 1e9) +
-                 " GB/s < 0.90x unsupervised " +
-                 std::to_string(unsup.bandwidth / 1e9) + " GB/s");
-
-      std::printf("  supervised %.2f GB/s (replans=%u probes=%u recoveries=%u "
-                  "readmissions=%u) unsupervised %.2f GB/s -> %s\n",
-                  sup.bandwidth / 1e9, sup.replans, sup.probes, sup.recoveries,
-                  sup.readmissions, unsup.bandwidth / 1e9,
-                  out.pass ? "PASS" : "FAIL");
-    }
-    for (const auto& f : out.failures) std::printf("    %s\n", f.c_str());
-    if (!out.pass) {
-      ++failures;
-      if (fail_log == nullptr && !fail_path.empty())
-        fail_log = std::fopen(fail_path.c_str(), "a");
-      if (fail_log != nullptr) {
-        std::fprintf(fail_log, "flap seed %" PRIu64 "\n", seed);
-        for (const auto& f : out.failures)
-          std::fprintf(fail_log, "  %s\n", f.c_str());
-      }
-    }
-  }
-  if (fail_log != nullptr) std::fclose(fail_log);
-
-  std::printf("\nrecovery chaos: %zu seeds, %u failing\n", seeds.size(),
-              failures);
-  if (failures != 0) {
-    bench::attach_failure_artifacts(fail_path);
-    std::printf("replay any failure with: chaos_soak --flap --seed <N>\n");
-  }
-  return failures == 0 ? 0 : 1;
+  return finish_soak(log, title, seeds.size(),
+                     recovery ? std::string("--flap ")
+                              : "--sockets " + std::to_string(sockets) + " ");
 }
 
 }  // namespace
@@ -1221,22 +936,25 @@ int main(int argc, char** argv) {
     return run_reference(params, cli.get_str("json"), obs);
   }
 
-  const auto single = static_cast<std::uint64_t>(cli.get_int("seed"));
-  std::vector<std::uint64_t> seeds;
-  if (single != 0) {
-    seeds.push_back(single);
-  } else {
-    const auto count = static_cast<std::uint64_t>(cli.get_int("seeds"));
-    for (std::uint64_t s = 1; s <= count; ++s) seeds.push_back(s);
+  const auto seed_arg = bench::seed_list(cli.get_int("seed"),
+                                         cli.get_int("seeds"));
+  const auto every_arg = bench::check_count("every", cli.get_int("every"), 1);
+  if (!seed_arg || !every_arg.ok()) {
+    std::fprintf(stderr, "chaos_soak: %s\n",
+                 !seed_arg ? seed_arg.error().message.c_str()
+                           : every_arg.error().message.c_str());
+    return 2;
   }
+  const std::vector<std::uint64_t>& seeds = seed_arg.value();
 
   if (cli.get_flag("flap"))
-    return run_recovery_chaos(
-        seeds,
+    return run_node_chaos(
+        true, seeds,
         std::max(2u, static_cast<unsigned>(cli.get_int("sockets"))), params,
         cli.get_str("fail-log"), obs);
   if (cli.get_int("sockets") > 1)
-    return run_numa_chaos(seeds, static_cast<unsigned>(cli.get_int("sockets")),
+    return run_node_chaos(false, seeds,
+                          static_cast<unsigned>(cli.get_int("sockets")),
                           params, cli.get_str("fail-log"), obs);
   if (cli.get_flag("overload"))
     return run_overload_chaos(seeds, static_cast<unsigned>(cli.get_int("jobs")),
@@ -1267,28 +985,8 @@ int main(int argc, char** argv) {
 #endif
   }
 
-  unsigned failures = 0;
-  std::FILE* fail_log = nullptr;
-  const std::string fail_path = cli.get_str("fail-log");
-  for (const std::uint64_t seed : seeds) {
-    const SeedOutcome outcome = run_seed(seed, params, obs);
-    if (!outcome.pass) {
-      ++failures;
-      if (fail_log == nullptr && !fail_path.empty())
-        fail_log = std::fopen(fail_path.c_str(), "a");
-      if (fail_log != nullptr) {
-        std::fprintf(fail_log, "seed %" PRIu64 "\n", seed);
-        for (const auto& f : outcome.failures)
-          std::fprintf(fail_log, "  %s\n", f.c_str());
-      }
-    }
-  }
-  if (fail_log != nullptr) std::fclose(fail_log);
-
-  std::printf("\nchaos soak: %zu seeds, %u failing\n", seeds.size(), failures);
-  if (failures != 0) {
-    bench::attach_failure_artifacts(fail_path);
-    std::printf("replay any failure with: chaos_soak --seed <N>\n");
-  }
-  return failures == 0 ? 0 : 1;
+  bench::FailLog log(cli.get_str("fail-log"));
+  for (const std::uint64_t seed : seeds)
+    log.add("seed " + std::to_string(seed), run_seed(seed, params, obs).failures);
+  return finish_soak(log, "chaos soak", seeds.size(), "");
 }

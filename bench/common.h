@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <stdexcept>
@@ -26,6 +27,7 @@
 #include "trace/virtual_arena.h"
 #include "util/cli.h"
 #include "util/csv.h"
+#include "util/expected.h"
 #include "util/log.h"
 #include "util/table.h"
 
@@ -190,6 +192,75 @@ inline void attach_failure_artifacts(const std::string& fail_path) {
   const auto attr = obs::Attribution::instance().write_json(
       fail_path + ".attribution.json");
   if (!attr.ok()) util::log_error("obs: " + attr.error().message);
+}
+
+/// The --fail-log bookkeeping of every seeded soak: the file opens (append)
+/// on the first failing run, each failing run writes its header line and
+/// its failures indented by two spaces, and finish() closes the file and
+/// attaches the failure artifacts when anything failed. Without a path it
+/// only counts.
+class FailLog {
+ public:
+  explicit FailLog(std::string path) : path_(std::move(path)) {}
+  FailLog(const FailLog&) = delete;
+  FailLog& operator=(const FailLog&) = delete;
+  ~FailLog() { close(); }
+
+  /// Records one run; a run with no failures passed and records nothing.
+  void add(const std::string& header, const std::vector<std::string>& failures) {
+    if (failures.empty()) return;
+    ++failed_;
+    if (file_ == nullptr && !path_.empty())
+      file_ = std::fopen(path_.c_str(), "a");
+    if (file_ == nullptr) return;
+    std::fprintf(file_, "%s\n", header.c_str());
+    for (const auto& f : failures) std::fprintf(file_, "  %s\n", f.c_str());
+  }
+
+  /// Closes the log and, when a run failed, parks the failure artifacts
+  /// next to it. Returns the number of failing runs.
+  unsigned finish() {
+    close();
+    if (failed_ != 0) attach_failure_artifacts(path_);
+    return failed_;
+  }
+
+ private:
+  void close() {
+    if (file_ != nullptr) std::fclose(file_);
+    file_ = nullptr;
+  }
+
+  std::string path_;
+  std::FILE* file_ = nullptr;
+  unsigned failed_ = 0;
+};
+
+/// Range check for a count flag, made before any work or fork: a value
+/// below `min` comes back as a diagnostic naming the flag.
+[[nodiscard]] inline util::Status check_count(const char* flag,
+                                              std::int64_t value,
+                                              std::int64_t min) {
+  if (value >= min) return {};
+  return util::Status::failure("--" + std::string(flag) + " must be >= " +
+                               std::to_string(min) + " (got " +
+                               std::to_string(value) + ")");
+}
+
+/// A soak's seed list: exactly --seed when it is nonzero, else 1..--seeds.
+/// A negative --seed or a --seeds below 1 is refused before anything is
+/// allocated (a cast would turn -1 into 2^64-1 seeds).
+[[nodiscard]] inline util::Expected<std::vector<std::uint64_t>> seed_list(
+    std::int64_t seed, std::int64_t seeds) {
+  util::Status status = check_count("seed", seed, 0);
+  if (seed == 0) status.merge(check_count("seeds", seeds, 1));
+  if (!status.ok())
+    return util::Expected<std::vector<std::uint64_t>>::failure(
+        status.error().message);
+  if (seed != 0) return std::vector<std::uint64_t>{static_cast<std::uint64_t>(seed)};
+  std::vector<std::uint64_t> out(static_cast<std::size_t>(seeds));
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = i + 1;
+  return out;
 }
 
 /// Guards every number a bench reports: a NaN/inf/negative rate means the

@@ -2,12 +2,13 @@
 //
 // Two phases, both against runtime::durable::ServiceHandle:
 //
-//   1. Kill-restart A/B — fork a durable serving loop, SIGKILL it at a
-//      seeded mid-stream instant, restart on the same directory, let the
-//      client retry the whole stream (duplicates dedupe), drain, and
-//      reconcile the per-tenant ledger byte-exactly against an
-//      uninterrupted reference run. Any divergence — lost ack, double
-//      execution, verdict drift — fails the bench.
+//   1. Kill-restart A/B — the shared harness in durable_common.h: fork a
+//      durable serving loop, SIGKILL it at a seeded instant after its
+//      journal header is on disk, restart on the same directory, let the
+//      client retry the whole stream (duplicates dedupe), drain, and hold
+//      K1-K4 against an uninterrupted reference run. Any divergence — lost
+//      ack, double execution, verdict drift, attribution drift — fails the
+//      bench.
 //
 //   2. Steady-state journal overhead — the same submission stream run
 //      twice with real kernels: once through the durable handle and once
@@ -28,14 +29,8 @@
 #include <string>
 #include <vector>
 
-#ifndef _WIN32
-#include <csignal>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-
 #include "common.h"
-#include "runtime/durable/service_handle.h"
+#include "durable_common.h"
 #include "util/prng.h"
 #include "util/timer.h"
 
@@ -43,239 +38,6 @@ namespace {
 
 using namespace mcopt;
 namespace fs = std::filesystem;
-
-// --- shared workload shape -------------------------------------------------
-
-/// Two tenants, batch SLO, accounting mode; tenant 2's tight byte quota
-/// keeps door sheds in the reconciled history (the same shape the tier-1
-/// DurabilityRegression pins).
-runtime::durable::DurableConfig reconcile_config(const std::string& dir) {
-  runtime::durable::DurableConfig cfg;
-  cfg.dir = dir;
-  cfg.service.executor.num_workers = 2;
-  cfg.service.executor.run_kernels = false;
-  cfg.service.executor.lane_capacity = {4096, 4096, 4096};
-  cfg.service.executor.seed = 1234;
-  cfg.tenants.push_back({.name = "steady",
-                         .weight = 2.0,
-                         .slo = runtime::service::SloClass::kBatch});
-  cfg.tenants.push_back({.name = "capped",
-                         .weight = 1.0,
-                         .quota_bytes_per_s = 250000.0,
-                         .burst_seconds = 1.0,
-                         .slo = runtime::service::SloClass::kBatch,
-                         .breaker_trip_threshold = 6});
-  return cfg;
-}
-
-runtime::exec::JobSpec reconcile_job(std::uint64_t seed, std::uint64_t id) {
-  runtime::exec::JobSpec spec;
-  spec.kind = runtime::exec::JobKind::kTriad;
-  spec.n = 2048 + 128 * ((id + seed) % 5);
-  spec.iterations = 1 + static_cast<unsigned>(id % 3);
-  spec.arrival = id * 20000;
-  return spec;
-}
-
-runtime::service::TenantId tenant_for(std::uint64_t id) {
-  return 1 + static_cast<runtime::service::TenantId>(id % 2);
-}
-
-#ifndef _WIN32
-
-/// Durable ack marker: written only AFTER flush() returned, fsync'd before
-/// the rename, so it never overstates what the journal committed.
-void write_ack_marker(const std::string& dir, std::uint64_t max_id) {
-  const std::string tmp = dir + "/acked.tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return;
-  std::fprintf(f, "%llu\n", static_cast<unsigned long long>(max_id));
-  std::fflush(f);
-  fsync(fileno(f));
-  std::fclose(f);
-  std::rename(tmp.c_str(), (dir + "/acked.txt").c_str());
-}
-
-std::uint64_t read_ack_marker(const std::string& dir) {
-  std::FILE* f = std::fopen((dir + "/acked.txt").c_str(), "rb");
-  if (f == nullptr) return 0;
-  unsigned long long v = 0;
-  const int got = std::fscanf(f, "%llu", &v);
-  std::fclose(f);
-  return got == 1 ? v : 0;
-}
-
-/// The serving loop both the reference and the killed child run: batch
-/// submissions, group-commit (ack) each batch, pump, checkpoint on a fixed
-/// cadence, sleep between batches so the kill lands mid-stream. When
-/// `trace_path` is set, the full trace is rewritten after every group
-/// commit — each batch leaves a complete, valid Chrome trace on disk, so a
-/// SIGKILL at any instant still leaves the pre-kill causal chain readable
-/// (obs_query --explain-job stitches it to the post-restart trace).
-bool run_reconcile_workload(const std::string& dir, std::uint64_t seed,
-                            std::uint64_t jobs, std::uint64_t batch,
-                            unsigned inter_batch_us,
-                            const std::string& trace_path = "") {
-  auto handle = runtime::durable::ServiceHandle::open(reconcile_config(dir));
-  if (!handle) return false;
-  runtime::durable::ServiceHandle& h = *handle.value();
-  for (std::uint64_t first = 1; first <= jobs; first += batch) {
-    const std::uint64_t last = std::min(jobs, first + batch - 1);
-    for (std::uint64_t id = first; id <= last; ++id)
-      (void)h.submit(tenant_for(id), id, reconcile_job(seed, id));
-    if (!h.flush().ok()) return false;
-    write_ack_marker(dir, last);
-    (void)h.pump();
-    if (!trace_path.empty())
-      (void)obs::TraceRecorder::instance().write_chrome_trace(trace_path);
-    if (((first / batch) % 3) == 2 && !h.checkpoint().ok()) return false;
-    if (inter_batch_us > 0) usleep(inter_batch_us);
-  }
-  return h.drain(nullptr).ok();
-}
-
-/// Attribution-vs-ledger reconciliation for one tenant: the attribution
-/// ledger's served bytes and shed events must equal the service ledger's,
-/// byte-exactly, across the SIGKILL (DESIGN.md §4m invariant).
-struct AttributionCheck {
-  std::uint64_t attr_served_bytes = 0;
-  std::uint64_t ledger_served_bytes = 0;
-  std::uint64_t attr_shed_events = 0;
-  std::uint64_t ledger_sheds = 0;
-};
-
-struct ReconcileOutcome {
-  bool pass = false;
-  unsigned kill_after_us = 0;
-  std::uint64_t acked = 0;
-  runtime::durable::RecoveryInfo recovery;
-  std::vector<runtime::durable::TenantLedger> want;
-  std::vector<runtime::durable::TenantLedger> got;
-  std::vector<AttributionCheck> attribution;  ///< per tenant, restart side
-  std::string burn_json;  ///< recovery handle's SLO burn export
-  std::vector<std::string> failures;
-};
-
-/// Phase 1: the fork+SIGKILL A/B. When `trace_dir` is set, the killed child
-/// rewrites trace_pre.json after every batch and the restarted parent
-/// writes trace_post.json, the obs_query --explain-job input pair.
-ReconcileOutcome run_reconcile(const fs::path& root, std::uint64_t seed,
-                               std::uint64_t jobs, std::uint64_t batch,
-                               unsigned kill_after_us,
-                               const std::string& trace_dir) {
-  ReconcileOutcome out;
-  out.kill_after_us = kill_after_us;
-  fs::create_directories(root / "ref");
-  fs::create_directories(root / "kill");
-  const std::string ref_dir = (root / "ref").string();
-  const std::string kill_dir = (root / "kill").string();
-
-  if (!run_reconcile_workload(ref_dir, seed, jobs, batch, 0)) {
-    out.failures.emplace_back("reference run failed");
-    return out;
-  }
-  {
-    auto ref = runtime::durable::ServiceHandle::open(reconcile_config(ref_dir));
-    if (!ref) {
-      out.failures.emplace_back("reference reopen refused: " +
-                                ref.error().message);
-      return out;
-    }
-    out.want = ref.value()->ledger();
-  }
-
-  const pid_t pid = fork();
-  if (pid < 0) {
-    out.failures.emplace_back("fork failed");
-    return out;
-  }
-  if (pid == 0) {
-    // The fork copied the parent's attribution cells (the reference run's
-    // charges); wipe them so the child's snapshots carry only this
-    // incarnation's ledger — what the restart-side reconciliation asserts.
-    obs::Attribution::instance().reset();
-    std::string trace_pre;
-    if (!trace_dir.empty()) {
-      // The child records its own rings (fork gave it a copy, but enable()
-      // here makes the run self-contained even without --trace).
-      obs::TraceRecorder::instance().enable(1u << 16);
-      trace_pre = trace_dir + "/trace_pre.json";
-    }
-    const bool ok =
-        run_reconcile_workload(kill_dir, seed, jobs, batch, 3000, trace_pre);
-    _exit(ok ? 0 : 42);
-  }
-  usleep(kill_after_us);
-  kill(pid, SIGKILL);
-  int wstatus = 0;
-  waitpid(pid, &wstatus, 0);
-  if (WIFEXITED(wstatus) && WEXITSTATUS(wstatus) != 0) {
-    out.failures.emplace_back("child failed before the kill landed");
-    return out;
-  }
-
-  out.acked = read_ack_marker(kill_dir);
-  // The restart side's attribution must be built ONLY from the child's
-  // snapshot (restored at open) plus post-covered replay charges — wipe the
-  // parent's own charges (reference run, earlier reopens) first so the
-  // reconciliation below is exact, not merely monotone.
-  obs::Attribution::instance().reset();
-  if (!trace_dir.empty()) obs::TraceRecorder::instance().enable(1u << 16);
-  auto handle = runtime::durable::ServiceHandle::open(reconcile_config(kill_dir));
-  if (!handle) {
-    out.failures.emplace_back("recovery refused: " + handle.error().message);
-    return out;
-  }
-  runtime::durable::ServiceHandle& h = *handle.value();
-  out.recovery = h.recovery_info();
-  for (std::uint64_t id = 1; id <= out.acked; ++id)
-    if (h.poll(id).state == runtime::durable::SubmissionState::kUnknown) {
-      out.failures.emplace_back("acked id " + std::to_string(id) + " lost");
-      break;
-    }
-  for (std::uint64_t id = 1; id <= jobs; ++id)
-    (void)h.submit(tenant_for(id), id, reconcile_job(seed, id));
-  if (!h.flush().ok() || !h.drain(nullptr).ok()) {
-    out.failures.emplace_back("recovery drain failed");
-    return out;
-  }
-  out.got = h.ledger();
-  out.burn_json = h.slo_monitor().json();
-  if (!trace_dir.empty())
-    (void)obs::TraceRecorder::instance().write_chrome_trace(trace_dir +
-                                                            "/trace_post.json");
-  if (out.got.size() != out.want.size()) {
-    out.failures.emplace_back("ledger width diverged");
-  } else {
-    for (std::size_t i = 0; i < out.want.size(); ++i)
-      if (out.got[i].completed != out.want[i].completed ||
-          out.got[i].served_bytes != out.want[i].served_bytes ||
-          out.got[i].sheds != out.want[i].sheds)
-        out.failures.emplace_back("tenant " + std::to_string(i + 1) +
-                                  " ledger diverged");
-  }
-  // Attribution-vs-ledger reconciliation across the kill: every served byte
-  // and every shed the restarted handle accounts for must have exactly one
-  // owner in the attribution ledger (snapshot blob + replay charges).
-  for (std::size_t i = 0; i < out.got.size(); ++i) {
-    AttributionCheck chk;
-    const auto tenant = static_cast<std::uint32_t>(i + 1);
-    chk.attr_served_bytes =
-        obs::Attribution::instance().tenant_bytes(tenant, obs::Charge::kServed);
-    chk.ledger_served_bytes = out.got[i].served_bytes;
-    chk.attr_shed_events =
-        obs::Attribution::instance().tenant_count(tenant, obs::Charge::kShed);
-    chk.ledger_sheds = out.got[i].sheds;
-    if (chk.attr_served_bytes != chk.ledger_served_bytes ||
-        chk.attr_shed_events != chk.ledger_sheds)
-      out.failures.emplace_back("tenant " + std::to_string(i + 1) +
-                                " attribution diverged from ledger");
-    out.attribution.push_back(chk);
-  }
-  out.pass = out.failures.empty();
-  return out;
-}
-#endif  // !_WIN32
 
 // --- phase 2: steady-state journal overhead --------------------------------
 
@@ -350,7 +112,7 @@ PassTiming time_durable_pass(const fs::path& dir, const OverheadParams& p) {
     const std::uint64_t last = std::min(p.jobs, first + p.batch - 1);
     util::Timer sub;
     for (std::uint64_t id = first; id <= last; ++id)
-      (void)h.submit(tenant_for(id), id, overhead_job(p, id));
+      (void)h.submit(bench::durable_tenant(id), id, overhead_job(p, id));
     t.submit += sub.seconds();
     util::Timer com;
     if (!h.flush().ok())
@@ -378,7 +140,7 @@ PassTiming time_plain_pass(const OverheadParams& p) {
     const std::uint64_t last = std::min(p.jobs, first + p.batch - 1);
     util::Timer sub;
     for (std::uint64_t id = first; id <= last; ++id)
-      (void)svc.submit(tenant_for(id), overhead_job(p, id));
+      (void)svc.submit(bench::durable_tenant(id), overhead_job(p, id));
     t.submit += sub.seconds();
   }
   svc.shutdown(runtime::exec::Executor::Drain::kDrain);
@@ -440,8 +202,8 @@ OverheadOutcome run_overhead(const fs::path& root, const OverheadParams& p,
 // --- output ----------------------------------------------------------------
 
 #ifndef _WIN32
-void write_json(const std::string& path, std::uint64_t seed,
-                std::uint64_t jobs, const ReconcileOutcome& rec,
+void write_json(const std::string& path, const bench::DurableWorkload& w,
+                unsigned kill_after_us, const bench::KillRestartOutcome& rec,
                 const OverheadOutcome& ovh, const OverheadParams& op,
                 double bound_pct) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -463,7 +225,8 @@ void write_json(const std::string& path, std::uint64_t seed,
                "  \"completed_skipped\": %" PRIu64 ",\n"
                "  \"sheds_replayed\": %" PRIu64 ",\n"
                "  \"dropped_bytes\": %" PRIu64 ",\n",
-               seed, jobs, rec.kill_after_us, rec.pass ? "true" : "false",
+               w.seed, w.jobs, kill_after_us,
+               rec.failures.empty() ? "true" : "false",
                rec.acked, rec.recovery.journal_records,
                rec.recovery.replayed_submissions, rec.recovery.resubmitted,
                rec.recovery.completed_skipped, rec.recovery.sheds_replayed,
@@ -484,7 +247,7 @@ void write_json(const std::string& path, std::uint64_t seed,
   }
   std::fprintf(f, "  ],\n  \"attribution\": [\n");
   for (std::size_t i = 0; i < rec.attribution.size(); ++i) {
-    const AttributionCheck& chk = rec.attribution[i];
+    const bench::AttributionCheck& chk = rec.attribution[i];
     std::fprintf(f,
                  "    {\"tenant\": %zu, \"attr_served_bytes\": %" PRIu64
                  ", \"ledger_served_bytes\": %" PRIu64
@@ -544,27 +307,33 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "durability: needs fork(); POSIX only\n");
   return 2;
 #else
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto jobs = static_cast<std::uint64_t>(cli.get_int("jobs"));
-  const auto batch = static_cast<std::uint64_t>(cli.get_int("batch"));
-  util::Xoshiro256 rng(seed);
+  if (const auto st =
+          bench::check_durable_counts(cli.get_int("jobs"), cli.get_int("batch"));
+      !st.ok()) {
+    std::fprintf(stderr, "durability: %s\n", st.error().message.c_str());
+    return 2;
+  }
+  bench::DurableWorkload workload;
+  workload.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  workload.jobs = static_cast<std::uint64_t>(cli.get_int("jobs"));
+  workload.batch = static_cast<std::uint64_t>(cli.get_int("batch"));
+  workload.trace_dir = cli.get_str("trace-dir");
+  util::Xoshiro256 rng(workload.seed);
   auto kill_after = static_cast<unsigned>(cli.get_int("kill-after-us"));
   if (kill_after == 0) kill_after = 500 + static_cast<unsigned>(rng() % 15000);
 
-  const fs::path root =
-      fs::temp_directory_path() / ("mcopt_durability_" + std::to_string(seed));
+  const fs::path root = bench::scratch_path("mcopt_durability", workload.seed);
   std::error_code ec;
   fs::remove_all(root, ec);
   fs::create_directories(root);
 
   std::printf("# durability bench: %" PRIu64 " jobs, batch %" PRIu64
               ", seed %" PRIu64 ", SIGKILL at %uus\n\n",
-              jobs, batch, seed, kill_after);
+              workload.jobs, workload.batch, workload.seed, kill_after);
 
-  const std::string trace_dir = cli.get_str("trace-dir");
-  if (!trace_dir.empty()) fs::create_directories(trace_dir);
-  const ReconcileOutcome rec =
-      run_reconcile(root, seed, jobs, batch, kill_after, trace_dir);
+  if (!workload.trace_dir.empty()) fs::create_directories(workload.trace_dir);
+  const bench::KillRestartOutcome rec =
+      bench::run_kill_restart(root, workload, kill_after);
   std::printf("# kill-restart reconciliation\n");
   std::printf("acked watermark %" PRIu64 "; recovery: %" PRIu64
               " records, %" PRIu64 " replayed, %" PRIu64 " resubmitted, "
@@ -585,14 +354,15 @@ int main(int argc, char** argv) {
                 have_got ? rec.got[i].sheds : 0);
   }
   for (std::size_t i = 0; i < rec.attribution.size(); ++i) {
-    const AttributionCheck& chk = rec.attribution[i];
+    const bench::AttributionCheck& chk = rec.attribution[i];
     std::printf("tenant %zu attribution: served %" PRIu64 "/%" PRIu64
                 " bytes, sheds %" PRIu64 "/%" PRIu64 " (attr/ledger)\n",
                 i + 1, chk.attr_served_bytes, chk.ledger_served_bytes,
                 chk.attr_shed_events, chk.ledger_sheds);
   }
   for (const auto& fail : rec.failures) std::printf("  FAIL: %s\n", fail.c_str());
-  std::printf("reconciliation: %s\n\n", rec.pass ? "PASS (byte-exact)" : "FAIL");
+  const bool reconciled = rec.failures.empty();
+  std::printf("reconciliation: %s\n\n", reconciled ? "PASS (byte-exact)" : "FAIL");
 
   OverheadOutcome ovh;
   OverheadParams op;
@@ -617,7 +387,8 @@ int main(int argc, char** argv) {
     ovh.pass = true;
   }
 
-  write_json(cli.get_str("json"), seed, jobs, rec, ovh, op, bound_pct);
+  write_json(cli.get_str("json"), workload, kill_after, rec, ovh, op,
+             bound_pct);
   // Companion artifacts next to the JSON: the attribution ledger and the
   // recovery handle's SLO burn table (check_obs_outputs.py validates both).
   std::string stem = cli.get_str("json");
@@ -641,6 +412,6 @@ int main(int argc, char** argv) {
     }
   }
   fs::remove_all(root, ec);
-  return rec.pass && ovh.pass ? 0 : 1;
+  return reconciled && ovh.pass ? 0 : 1;
 #endif
 }

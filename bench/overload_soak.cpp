@@ -108,25 +108,18 @@ int run_sweep(const std::vector<double>& ratios,
                "completed", "shed", "miss_pct", "p50_ms", "p99_ms", "check"},
               table_rows, csv_path);
 
-  unsigned failures = 0;
-  std::FILE* fail_log = nullptr;
+  bench::FailLog log(fail_log_path);
   for (const auto& row : rows) {
     if (row.failures.empty()) continue;
-    ++failures;
     std::printf("offered %.2fx seed %" PRIu64 " FAILED:\n", row.ratio,
                 base.seed);
-    if (fail_log == nullptr && !fail_log_path.empty())
-      fail_log = std::fopen(fail_log_path.c_str(), "a");
-    if (fail_log != nullptr)
-      std::fprintf(fail_log, "seed %" PRIu64 " offered %.2fx\n", base.seed,
-                   row.ratio);
-    for (const auto& f : row.failures) {
-      std::printf("  %s\n", f.c_str());
-      if (fail_log != nullptr) std::fprintf(fail_log, "  %s\n", f.c_str());
-    }
+    for (const auto& f : row.failures) std::printf("  %s\n", f.c_str());
+    char header[64];
+    std::snprintf(header, sizeof header, "seed %" PRIu64 " offered %.2fx",
+                  base.seed, row.ratio);
+    log.add(header, row.failures);
   }
-  if (fail_log != nullptr) std::fclose(fail_log);
-  if (failures != 0) bench::attach_failure_artifacts(fail_log_path);
+  const unsigned failures = log.finish();
 
   if (reference && !json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -274,23 +267,15 @@ std::vector<std::string> run_service_pair(
 int run_service(const bench::ServiceSoakParams& base, unsigned chaos_runs,
                 bool reference, const std::string& json_path,
                 const std::string& fail_log_path) {
-  unsigned failed_runs = 0;
-  std::FILE* fail_log = nullptr;
+  bench::FailLog log(fail_log_path);
   bench::ServiceSoakResult mixed, baseline;
 
   const auto report = [&](std::uint64_t seed,
                           const std::vector<std::string>& failures) {
     if (failures.empty()) return;
-    ++failed_runs;
     std::printf("service seed %" PRIu64 " FAILED:\n", seed);
-    if (fail_log == nullptr && !fail_log_path.empty())
-      fail_log = std::fopen(fail_log_path.c_str(), "a");
-    if (fail_log != nullptr)
-      std::fprintf(fail_log, "service seed %" PRIu64 "\n", seed);
-    for (const auto& f : failures) {
-      std::printf("  %s\n", f.c_str());
-      if (fail_log != nullptr) std::fprintf(fail_log, "  %s\n", f.c_str());
-    }
+    for (const auto& f : failures) std::printf("  %s\n", f.c_str());
+    log.add("service seed " + std::to_string(seed), failures);
   };
 
   if (chaos_runs > 0) {
@@ -303,8 +288,7 @@ int run_service(const bench::ServiceSoakParams& base, unsigned chaos_runs,
   } else {
     report(base.seed, run_service_pair(base, mixed, baseline));
   }
-  if (fail_log != nullptr) std::fclose(fail_log);
-  if (failed_runs != 0) bench::attach_failure_artifacts(fail_log_path);
+  const unsigned failed_runs = log.finish();
 
   if (reference && !json_path.empty() && chaos_runs == 0) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -438,6 +422,12 @@ int main(int argc, char** argv) {
     base.pace_ns_per_cycle = cli.get_double("pace");
 
   if (cli.get_flag("service")) {
+    if (const auto st = mcopt::bench::check_count(
+            "service-chaos", cli.get_int("service-chaos"), 0);
+        !st.ok()) {
+      std::fprintf(stderr, "overload_soak: %s\n", st.error().message.c_str());
+      return 2;
+    }
     mcopt::bench::ServiceSoakParams sp;
     sp.tenants = static_cast<unsigned>(cli.get_int("tenants"));
     sp.target_jobs = static_cast<unsigned>(cli.get_int("service-jobs"));
