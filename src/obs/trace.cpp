@@ -13,6 +13,7 @@
 #else
 #include <csignal>
 #include <fcntl.h>
+#include <pthread.h>
 #include <unistd.h>
 #endif
 
@@ -103,6 +104,34 @@ void log_mirror(util::LogLevel level, std::uint64_t /*ts_ns*/,
                                    len);
 }
 
+#ifdef _WIN32
+std::uint64_t current_pid() noexcept {
+  static const auto pid = static_cast<std::uint64_t>(_getpid());
+  return pid;  // no fork() on Windows: the pid never changes
+}
+#else
+/// getpid() is a syscall on every call (glibc does not cache it), so the
+/// pid is cached here. A pthread_atfork child handler refreshes it before
+/// fork() returns in the child, so a child never mints with its parent's.
+std::atomic<std::uint64_t> g_pid{0};
+
+void refresh_pid() noexcept {
+  g_pid.store(static_cast<std::uint64_t>(::getpid()),
+              std::memory_order_relaxed);
+}
+
+std::uint64_t current_pid() noexcept {
+  static const bool refreshed_on_fork = [] {
+    refresh_pid();
+    return ::pthread_atfork(nullptr, nullptr, refresh_pid) == 0;
+  }();
+  // Without the handler (registration failed: out of memory) the cache
+  // could go stale in a child, so ask the kernel every time.
+  return refreshed_on_fork ? g_pid.load(std::memory_order_relaxed)
+                           : static_cast<std::uint64_t>(::getpid());
+}
+#endif
+
 }  // namespace
 
 std::uint64_t next_trace_id() noexcept {
@@ -117,15 +146,11 @@ std::uint64_t next_trace_id() noexcept {
     return (z ^ (z >> 31)) << 20;
   }();
   static std::atomic<std::uint64_t> counter{0};
-  // The pid is folded in per call, NOT into the static: a fork()ed serving
+  // The pid is folded in per call, NOT into the salt: a fork()ed serving
   // child (the durability bench's kill harness) inherits both salt and
-  // counter, and without the pid its ids would collide with ids the parent
-  // mints after the fork — poisoning merged-trace queries.
-#ifdef _WIN32
-  const auto pid = static_cast<std::uint64_t>(_getpid());
-#else
-  const auto pid = static_cast<std::uint64_t>(::getpid());
-#endif
+  // counter, and without its own pid its ids would collide with ids the
+  // parent mints after the fork — poisoning merged-trace queries.
+  const std::uint64_t pid = current_pid();
   const std::uint64_t id = (salt ^ (pid * 0xff51afd7ed558ccdULL)) +
                            counter.fetch_add(1, std::memory_order_relaxed) + 1;
   return id == 0 ? 1 : id;

@@ -428,12 +428,12 @@ void Executor::ingest_sample(const Pending& job) {
   // window onto truth, and it flows through the supervisor like any other
   // measurement.
   const sim::FaultSpec truth = cfg_.truth.active_at(job.finish);
-  const auto est = pricing_.estimate(job.spec.kind, truth);
+  auto est = pricing_.estimate(job.spec.kind, truth);
   if (!est) return;  // no surviving controller in truth: no signal either
   Sample s;
   s.begin = job.start;
   s.end = job.finish;
-  s.mc_utilization = est.value().mc_utilization;
+  s.mc_utilization = std::move(est.value().mc_utilization);
   const std::lock_guard<std::mutex> guard(ingest_mu_);
   ingest_.push_back(std::move(s));
 }

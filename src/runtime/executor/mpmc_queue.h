@@ -107,6 +107,7 @@ class LaneQueue {
     if (!(weight > 0.0))
       throw std::invalid_argument("LaneQueue: flow weight must be > 0");
     const auto l = static_cast<std::size_t>(lane);
+    bool wake = false;
     {
       const std::lock_guard<std::mutex> guard(mu_);
       if (closed_ || lane_sizes_[l] >= capacity_[l]) return false;
@@ -128,8 +129,12 @@ class LaneQueue {
       if (was_empty)
         heads_.insert({fq.front().primary, static_cast<unsigned>(l),
                        fq.front().seq, flow});
+      wake = !held_;
     }
-    cv_.notify_one();
+    // A push into a held queue wakes nobody: the woken worker would see
+    // held_ and park again. release() and close() wake every worker, so no
+    // item pushed under a hold waits past the hold.
+    if (wake) cv_.notify_one();
     return true;
   }
 
@@ -197,6 +202,7 @@ class LaneQueue {
   /// never on the push/pop interleaving, which is what lets a seeded soak
   /// make every WFQ reservation a pure function of its job stream.
   /// close() overrides a hold, so a draining shutdown can never wedge.
+  /// Pushes under a hold wake no worker; release() wakes every worker.
   void hold() {
     const std::lock_guard<std::mutex> guard(mu_);
     held_ = true;

@@ -47,11 +47,15 @@ util::Expected<Quote> quote_at(const JobSpec& job, double bandwidth, double hz,
 
 }  // namespace
 
-PricingModel::PricingModel(PricingConfig cfg) : cfg_(cfg) {
+PricingModel::PricingModel(PricingConfig cfg)
+    : cfg_(cfg),
+      healthy_set_(sim::FaultSpec{}.surviving_controllers(cfg_.map.spec())) {
   if (!(cfg_.clock_ghz > 0.0))
     throw std::invalid_argument("PricingModel: clock_ghz must be positive");
   if (cfg_.pricing_threads == 0)
     throw std::invalid_argument("PricingModel: pricing_threads must be >= 1");
+  for (const JobKind kind : {JobKind::kTriad, JobKind::kJacobi, JobKind::kLbm})
+    healthy_.push_back(model_estimate(kind, sim::FaultSpec{}));
 }
 
 std::uint64_t PricingModel::traffic_bytes(const JobSpec& job) {
@@ -74,7 +78,19 @@ std::uint64_t PricingModel::traffic_bytes(const JobSpec& job) {
   throw std::invalid_argument("pricing: unknown job kind");
 }
 
+const util::Expected<sim::AnalyticEstimate>* PricingModel::healthy_entry(
+    JobKind kind, const sim::FaultSpec& faults) const noexcept {
+  const auto k = static_cast<std::size_t>(kind);
+  return !faults.any() && k < healthy_.size() ? &healthy_[k] : nullptr;
+}
+
 util::Expected<sim::AnalyticEstimate> PricingModel::estimate(
+    JobKind kind, const sim::FaultSpec& faults) const {
+  if (const auto* healthy = healthy_entry(kind, faults)) return *healthy;
+  return model_estimate(kind, faults);
+}
+
+util::Expected<sim::AnalyticEstimate> PricingModel::model_estimate(
     JobKind kind, const sim::FaultSpec& faults) const {
   using Result = util::Expected<sim::AnalyticEstimate>;
   const std::vector<unsigned> surviving =
@@ -144,7 +160,12 @@ util::Expected<Quote> PricingModel::price_node(
 
 util::Expected<Quote> PricingModel::price(const JobSpec& job,
                                           const sim::FaultSpec& faults) const {
-  const auto est = estimate(job.kind, faults);
+  if (const auto* healthy = healthy_entry(job.kind, faults)) {
+    if (!*healthy) return util::Expected<Quote>::failure(healthy->error().message);
+    return quote_at(job, healthy->value().bandwidth, clock_hz(),
+                    "analytic model", healthy_set_);
+  }
+  const auto est = model_estimate(job.kind, faults);
   if (!est) return util::Expected<Quote>::failure(est.error().message);
   return quote_at(job, est.value().bandwidth, clock_hz(), "analytic model",
                   faults.surviving_controllers(cfg_.map.spec()));

@@ -19,6 +19,7 @@
 // benchmarks assert against.
 
 #include <cstdint>
+#include <vector>
 
 #include "arch/numa.h"
 #include "runtime/executor/job.h"
@@ -52,7 +53,8 @@ class PricingModel {
   /// The raw analytic estimate for a kind's planned streams under `faults`
   /// (bandwidth + per-controller utilization). The executor's workers use
   /// the utilization vector as the supervisor's measurement stand-in,
-  /// evaluated under the ground-truth fault state.
+  /// evaluated under the ground-truth fault state. A fault-free state reads
+  /// the healthy table built at construction.
   [[nodiscard]] util::Expected<sim::AnalyticEstimate> estimate(
       JobKind kind, const sim::FaultSpec& faults) const;
 
@@ -89,7 +91,24 @@ class PricingModel {
   [[nodiscard]] const PricingConfig& config() const noexcept { return cfg_; }
 
  private:
+  /// Plans `kind`'s streams over the controllers surviving `faults` and
+  /// runs the analytic model: what estimate() returns, without the table.
+  [[nodiscard]] util::Expected<sim::AnalyticEstimate> model_estimate(
+      JobKind kind, const sim::FaultSpec& faults) const;
+
+  /// The healthy table's entry for `kind`, or nullptr when `faults` is not
+  /// fault-free (or `kind` is unknown) and the model must run.
+  [[nodiscard]] const util::Expected<sim::AnalyticEstimate>* healthy_entry(
+      JobKind kind, const sim::FaultSpec& faults) const noexcept;
+
   PricingConfig cfg_;
+  /// Every controller: the plan set of a healthy quote.
+  std::vector<unsigned> healthy_set_;
+  /// model_estimate(kind, {}) per JobKind, indexed by the enum. An estimate
+  /// depends on the kind and the fault state only, never on a job's n or
+  /// iterations, so the healthy ones are computed once. The table is
+  /// immutable after construction: concurrent readers need no lock.
+  std::vector<util::Expected<sim::AnalyticEstimate>> healthy_;
 };
 
 }  // namespace mcopt::runtime::exec

@@ -89,18 +89,6 @@ TenantSnapshot Service::tenant(TenantId id) const {
   return snap;
 }
 
-arch::Cycles Service::healthy_service_cycles_locked(const exec::JobSpec& spec) {
-  const auto key = std::make_tuple(spec.kind, spec.n, spec.iterations);
-  const auto it = healthy_cycles_cache_.find(key);
-  if (it != healthy_cycles_cache_.end()) return it->second;
-  const auto quote = executor_.pricing().price(spec, sim::FaultSpec{});
-  // Healthy pricing only fails if the chip has no controllers at all; fall
-  // back to one cycle so the deadline stays finite rather than wedging.
-  const arch::Cycles cycles = quote ? quote.value().service_cycles : 1;
-  healthy_cycles_cache_.emplace(key, cycles);
-  return cycles;
-}
-
 exec::SubmitResult Service::submit(TenantId tenant, exec::JobSpec spec) {
   return submit_impl(tenant, std::move(spec), /*forward=*/true);
 }
@@ -195,14 +183,17 @@ exec::SubmitResult Service::submit_impl(TenantId tenant, exec::JobSpec spec,
   const SloPolicy& pol = cfg_.slo[static_cast<std::size_t>(t.cfg.slo)];
   spec.priority = pol.priority;
   if (!(cfg_.allow_explicit_deadlines && spec.deadline != exec::kNoDeadline)) {
-    spec.deadline =
-        pol.deadline_slack > 0.0
-            ? now + pol.deadline_floor +
-                  static_cast<arch::Cycles>(std::ceil(
-                      static_cast<double>(
-                          healthy_service_cycles_locked(spec)) *
-                      pol.deadline_slack))
-            : exec::kNoDeadline;
+    spec.deadline = exec::kNoDeadline;
+    if (pol.deadline_slack > 0.0) {
+      // The healthy quote is a table lookup. It only fails if the chip has
+      // no controllers at all; fall back to one cycle so the deadline stays
+      // finite rather than wedging.
+      const auto healthy = executor_.pricing().price(spec, sim::FaultSpec{});
+      const arch::Cycles cycles = healthy ? healthy.value().service_cycles : 1;
+      spec.deadline = now + pol.deadline_floor +
+                      static_cast<arch::Cycles>(std::ceil(
+                          static_cast<double>(cycles) * pol.deadline_slack));
+    }
   }
 
   ++t.counters.forwarded;

@@ -41,7 +41,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -246,11 +245,6 @@ class Service {
           quota_level_bytes(cfg.quota_bytes_per_s * cfg.burst_seconds) {}
   };
 
-  /// Healthy service-cycle quote for SLO deadlines, cached per distinct
-  /// (kind, n, iterations) so a million-job soak prices each shape once.
-  [[nodiscard]] arch::Cycles healthy_service_cycles_locked(
-      const exec::JobSpec& spec);
-
   /// Shared body of submit()/submit_replay().
   exec::SubmitResult submit_impl(TenantId tenant, exec::JobSpec spec,
                                  bool forward);
@@ -262,8 +256,6 @@ class Service {
   mutable std::mutex mu_;  ///< door: tenants, quota buckets, breakers
   std::vector<Tenant> tenants_;
   arch::Cycles door_clock_ = 0;  ///< largest arrival seen
-  std::map<std::tuple<exec::JobKind, std::size_t, unsigned>, arch::Cycles>
-      healthy_cycles_cache_;
 };
 
 }  // namespace mcopt::runtime::service

@@ -2,10 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -260,6 +270,64 @@ TEST_F(TraceTest, NextTraceIdIsNonzeroAndUnique) {
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end())
       << "duplicate trace ids minted within one process";
+}
+
+TEST_F(TraceTest, ForkedChildMintsIdsDisjointFromTheParent) {
+  // The pid is cached and refreshed in the forked child: the child inherits
+  // the salt and the counter, so only its own pid keeps its ids apart from
+  // the ones the parent mints after the fork.
+  constexpr int kIds = 1000;
+  for (int i = 0; i < kIds; ++i) ASSERT_NE(next_trace_id(), 0u);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0) << std::strerror(errno);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0) << std::strerror(errno);
+  if (pid == 0) {
+    ::close(fds[0]);
+    std::array<std::uint64_t, kIds> ids{};
+    for (std::uint64_t& id : ids) id = next_trace_id();
+    const char* p = reinterpret_cast<const char*>(ids.data());
+    std::size_t left = sizeof(ids);
+    while (left > 0) {
+      const ssize_t n = ::write(fds[1], p, left);
+      if (n <= 0) ::_exit(1);
+      p += n;
+      left -= static_cast<std::size_t>(n);
+    }
+    ::_exit(0);
+  }
+  ::close(fds[1]);
+  std::vector<std::uint64_t> parent(kIds);
+  for (std::uint64_t& id : parent) id = next_trace_id();
+
+  std::vector<std::uint64_t> child(kIds);
+  char* p = reinterpret_cast<char*>(child.data());
+  std::size_t got = 0;
+  const std::size_t want = child.size() * sizeof(std::uint64_t);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (got < want && std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{fds[0], POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    const ssize_t n = ::read(fds[0], p + got, want - got);
+    if (n <= 0) break;  // EOF: the child exited early
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fds[0]);
+  int status = 0;
+  if (got < want) ::kill(pid, SIGKILL);
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_EQ(got, want) << "child sent " << got << " of " << want << " bytes";
+  ASSERT_TRUE(WIFEXITED(status)) << "child status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  std::sort(parent.begin(), parent.end());
+  std::sort(child.begin(), child.end());
+  std::vector<std::uint64_t> shared;
+  std::set_intersection(parent.begin(), parent.end(), child.begin(),
+                        child.end(), std::back_inserter(shared));
+  EXPECT_TRUE(shared.empty())
+      << shared.size() << " trace ids minted by both parent and child";
 }
 
 TEST_F(TraceTest, FlowEventsExportAsChromeFlowPhases) {

@@ -282,5 +282,56 @@ TEST(MpmcQueue, CloseOverridesAHoldSoDrainingNeverWedges) {
   EXPECT_FALSE(q.pop(kNoReserve).has_value());
 }
 
+TEST(MpmcQueue, HeldPushesWakeNobodyAndReleaseLosesNoWakeUp) {
+  // A push into a held queue notifies no worker; release() (or close())
+  // must then wake the parked poppers, or the batch sits unpopped forever.
+  constexpr int kRounds = 200;
+  constexpr int kPerRound = 48;
+  constexpr int kItems = (kRounds + 1) * kPerRound;  // + the close() round
+  LaneQueue<Item> q({64, 64, 64}, QueuePolicy::kWeightedFair);
+  std::vector<std::atomic<int>> seen(kItems);
+  std::atomic<int> popped{0};
+
+  std::vector<std::thread> poppers;
+  for (int t = 0; t < 3; ++t)
+    poppers.emplace_back([&] {
+      while (const auto item = q.pop(kNoReserve)) {
+        seen[static_cast<std::size_t>(item->id)].fetch_add(1);
+        popped.fetch_add(1);
+      }
+    });
+
+  const auto publish = [&](int round) {
+    q.hold();
+    for (int i = 0; i < kPerRound; ++i) {
+      const int id = round * kPerRound + i;
+      const std::uint64_t flow = static_cast<std::uint64_t>(id % 5);
+      ASSERT_TRUE(q.try_push(static_cast<Priority>(id % 3), flow,
+                             1.0 + static_cast<double>(flow),
+                             1 + static_cast<std::uint64_t>(id % 7), {id}));
+    }
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool timed_out = false;
+  for (int round = 0; round < kRounds && !timed_out; ++round) {
+    publish(round);
+    q.release();
+    while (popped.load() < (round + 1) * kPerRound && !timed_out) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      timed_out = std::chrono::steady_clock::now() > deadline;
+    }
+  }
+  const int popped_in_time = popped.load();
+  if (!timed_out) publish(kRounds);
+  q.close();  // overrides the last round's hold: the poppers drain and exit
+  for (auto& t : poppers) t.join();
+  ASSERT_FALSE(timed_out) << "only " << popped_in_time
+                          << " items popped within 10 s";
+  EXPECT_EQ(popped.load(), kItems);
+  for (int id = 0; id < kItems; ++id)
+    ASSERT_EQ(seen[static_cast<std::size_t>(id)].load(), 1) << "item " << id;
+}
+
 }  // namespace
 }  // namespace mcopt::runtime::exec

@@ -1,6 +1,10 @@
 #include "runtime/executor/pricing.h"
 
+#include <atomic>
 #include <cmath>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -138,6 +142,102 @@ TEST(Pricing, EstimateExposesTheUtilizationStandIn) {
   const auto healthy = model.estimate(JobKind::kJacobi, {});
   ASSERT_TRUE(healthy);
   for (const double u : healthy.value().mc_utilization) EXPECT_GT(u, 0.1);
+}
+
+/// Every (kind, n, iterations) shape the table tests price.
+std::vector<JobSpec> table_shapes() {
+  std::vector<JobSpec> shapes;
+  for (const JobKind kind : {JobKind::kTriad, JobKind::kJacobi, JobKind::kLbm})
+    for (const std::size_t n : {std::size_t{1}, std::size_t{1024},
+                                std::size_t{4096}, std::size_t{1} << 20})
+      for (const unsigned iterations : {1u, 3u}) {
+        JobSpec j;
+        j.kind = kind;
+        j.n = n;
+        j.iterations = iterations;
+        shapes.push_back(j);
+      }
+  return shapes;
+}
+
+bool same_quote(const Quote& a, const Quote& b) {
+  return a.bandwidth == b.bandwidth && a.bytes == b.bytes &&
+         a.service_cycles == b.service_cycles && a.plan_set == b.plan_set;
+}
+
+void expect_same_quote(const Quote& a, const Quote& b) {
+  EXPECT_EQ(a.bandwidth, b.bandwidth);  // bitwise: no tolerance
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.service_cycles, b.service_cycles);
+  EXPECT_EQ(a.plan_set, b.plan_set);
+}
+
+void expect_same_estimate(const sim::AnalyticEstimate& a,
+                          const sim::AnalyticEstimate& b) {
+  EXPECT_EQ(a.service_bandwidth, b.service_bandwidth);
+  EXPECT_EQ(a.latency_bandwidth, b.latency_bandwidth);
+  EXPECT_EQ(a.bandwidth, b.bandwidth);
+  EXPECT_EQ(a.balance, b.balance);
+  EXPECT_EQ(a.mc_utilization, b.mc_utilization);
+}
+
+TEST(Pricing, HealthyTableEqualsTheModelBitForBit) {
+  // A fault-free state reads the table built at construction; a fault the
+  // analytic model ignores (a straggler, a slow bank) sets any() and so
+  // runs the model. Both must give the same quote and estimate, bit for bit.
+  const PricingModel model;
+  for (const char* ignored : {"strand5:lag=40", "bank3:slow=20"}) {
+    const sim::FaultSpec faults = sim::FaultSpec::parse(ignored).value();
+    ASSERT_TRUE(faults.any()) << ignored;
+    for (const JobSpec& job : table_shapes()) {
+      SCOPED_TRACE(std::string(ignored) + " " + to_string(job.kind) +
+                   " n=" + std::to_string(job.n) +
+                   " iterations=" + std::to_string(job.iterations));
+      const auto table = model.price(job, {});
+      const auto computed = model.price(job, faults);
+      ASSERT_TRUE(table);
+      ASSERT_TRUE(computed);
+      expect_same_quote(table.value(), computed.value());
+      EXPECT_EQ(table.value().plan_set, (std::vector<unsigned>{0, 1, 2, 3}));
+      const auto est_table = model.estimate(job.kind, {});
+      const auto est_computed = model.estimate(job.kind, faults);
+      ASSERT_TRUE(est_table);
+      ASSERT_TRUE(est_computed);
+      expect_same_estimate(est_table.value(), est_computed.value());
+    }
+  }
+}
+
+TEST(Pricing, ConcurrentPricingMatchesSerial) {
+  // The healthy table is read without a lock; degraded states run the model.
+  // Four threads pricing both at once must reproduce the serial answers.
+  const PricingModel model;
+  const sim::FaultSpec mc1_off = sim::FaultSpec::parse("mc1:off").value();
+  const std::vector<JobSpec> shapes = table_shapes();
+  std::vector<Quote> serial;
+  for (const JobSpec& job : shapes) {
+    serial.push_back(model.price(job, {}).value());
+    serial.push_back(model.price(job, mc1_off).value());
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 100; ++rep)
+        for (std::size_t i = 0; i < shapes.size(); ++i) {
+          // Each thread walks the shapes from a different start.
+          const std::size_t k = (i + static_cast<std::size_t>(t) * 7) %
+                                shapes.size();
+          const auto healthy = model.price(shapes[k], {});
+          const auto degraded = model.price(shapes[k], mc1_off);
+          if (!healthy || !same_quote(healthy.value(), serial[2 * k]) ||
+              !degraded || !same_quote(degraded.value(), serial[2 * k + 1]))
+            mismatches.fetch_add(1);
+        }
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(Pricing, RejectsDegenerateConfigs) {
