@@ -6,43 +6,15 @@
 
 #include "obs/metrics.h"
 #include "util/csv.h"
+#include "util/wire.h"
 
 namespace mcopt::obs {
 namespace {
 
 constexpr std::uint32_t kSnapshotVersion = 1;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-}
-
-struct Reader {
-  const std::uint8_t* p;
-  std::size_t left;
-
-  bool u32(std::uint32_t& v) {
-    if (left < 4) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    p += 4;
-    left -= 4;
-    return true;
-  }
-  bool u64(std::uint64_t& v) {
-    if (left < 8) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    p += 8;
-    left -= 8;
-    return true;
-  }
-};
+using util::wire::put_u32;
+using util::wire::put_u64;
 
 /// Registry counters mirroring the grand totals, so attribution shows up in
 /// the Prometheus/JSON exports without a separate scrape of the ledger.
@@ -281,11 +253,11 @@ std::vector<std::uint8_t> Attribution::encode() const {
 }
 
 util::Status Attribution::restore(const std::vector<std::uint8_t>& bytes) {
-  Reader r{bytes.data(), bytes.size()};
-  std::uint32_t version = 0;
-  std::uint32_t per_socket = 0;
-  std::uint64_t n = 0;
-  if (!r.u32(version) || !r.u32(per_socket) || !r.u64(n))
+  util::wire::Reader r{bytes.data(), bytes.size()};
+  const std::uint32_t version = r.u32();
+  const std::uint32_t per_socket = r.u32();
+  const std::uint64_t n = r.u64();
+  if (!r.ok)
     return util::Status::failure("attribution snapshot: truncated header");
   if (version != kSnapshotVersion)
     return util::Status::failure("attribution snapshot: version " +
@@ -295,11 +267,14 @@ util::Status Attribution::restore(const std::vector<std::uint8_t>& bytes) {
         "attribution snapshot: zero controllers per socket");
   std::map<AttributionKey, AttributionCell> cells;
   for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint32_t tenant = 0, socket = 0, controller = 0, charge = 0,
-                  reason = 0;
-    std::uint64_t b = 0, c = 0;
-    if (!r.u32(tenant) || !r.u32(socket) || !r.u32(controller) ||
-        !r.u32(charge) || !r.u32(reason) || !r.u64(b) || !r.u64(c))
+    const std::uint32_t tenant = r.u32();
+    const std::uint32_t socket = r.u32();
+    const std::uint32_t controller = r.u32();
+    const std::uint32_t charge = r.u32();
+    const std::uint32_t reason = r.u32();
+    const std::uint64_t b = r.u64();
+    const std::uint64_t c = r.u64();
+    if (!r.ok)
       return util::Status::failure("attribution snapshot: truncated cell " +
                                    std::to_string(i));
     if (charge > static_cast<std::uint32_t>(Charge::kMigration))
@@ -310,7 +285,7 @@ util::Status Attribution::restore(const std::vector<std::uint8_t>& bytes) {
                        static_cast<Charge>(charge), reason};
     cells[key] = AttributionCell{key, b, c};
   }
-  if (r.left != 0)
+  if (!r.done())
     return util::Status::failure("attribution snapshot: trailing bytes");
   const std::lock_guard<std::mutex> lock(mu_);
   controllers_per_socket_ = per_socket;

@@ -10,6 +10,7 @@
 
 #include "obs/trace.h"
 #include "util/crc.h"
+#include "util/wire.h"
 
 namespace mcopt::runtime {
 namespace {
@@ -18,25 +19,10 @@ constexpr std::size_t kHeaderBytes = 4 * 4 + 8 + 4 * 8 + 4;  // 60
 constexpr std::size_t kSectionEntryBytes = 8 + 4 + 4;        // 16
 constexpr std::size_t kFileCrcBytes = 4;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
-  return v;
-}
+using util::wire::get_u32;
+using util::wire::get_u64;
+using util::wire::put_u32;
+using util::wire::put_u64;
 
 std::vector<std::uint8_t> serialize(const Checkpoint& ckpt) {
   std::vector<std::uint8_t> out;

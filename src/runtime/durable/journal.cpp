@@ -73,24 +73,6 @@ util::Status flush_and_sync(std::FILE* f, const std::string& path) {
 
 }  // namespace
 
-namespace wire {
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
-}
-
-double get_f64(const std::uint8_t* p) {
-  const std::uint64_t bits = get_u64(p);
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
-}  // namespace wire
-
 // --- typed payloads --------------------------------------------------------
 
 std::vector<std::uint8_t> SubmissionRecord::encode() const {

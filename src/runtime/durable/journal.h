@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "util/expected.h"
+#include "util/wire.h"
 
 namespace mcopt::runtime::durable {
 
@@ -91,38 +92,8 @@ struct Record {
   std::vector<std::uint8_t> payload;
 };
 
-// --- little-endian wire helpers (shared with state/service_handle) ---------
-
-namespace wire {
-
-inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-[[nodiscard]] inline std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
-  return v;
-}
-
-[[nodiscard]] inline std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
-  return v;
-}
-
-/// Doubles ride as their IEEE-754 bit pattern (the door's token-bucket
-/// arithmetic must replay bit-identically, so no text round-trip).
-void put_f64(std::vector<std::uint8_t>& out, double v);
-[[nodiscard]] double get_f64(const std::uint8_t* p);
-
-}  // namespace wire
+// The little-endian codec of every record and of the state image.
+namespace wire = util::wire;
 
 // --- typed record payloads -------------------------------------------------
 

@@ -1,7 +1,5 @@
 #include "runtime/durable/state.h"
 
-#include <cstring>
-
 #include "obs/trace.h"
 #include "runtime/checkpoint.h"
 #include "runtime/durable/journal.h"
@@ -9,60 +7,11 @@
 namespace mcopt::runtime::durable {
 namespace {
 
-using wire::get_u32;
-using wire::get_u64;
 using wire::put_f64;
+using wire::put_str;
 using wire::put_u32;
 using wire::put_u64;
-
-/// Bounds-checked cursor over one section payload. Reads past the end set
-/// ok=false and return zeros; callers check ok (and full consumption) once
-/// at the end instead of threading Status through every field.
-struct Reader {
-  const std::uint8_t* p;
-  std::size_t size;
-  std::size_t at = 0;
-  bool ok = true;
-
-  bool need(std::size_t n) {
-    if (!ok || size - at < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  std::uint32_t u32() {
-    if (!need(4)) return 0;
-    const std::uint32_t v = get_u32(p + at);
-    at += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!need(8)) return 0;
-    const std::uint64_t v = get_u64(p + at);
-    at += 8;
-    return v;
-  }
-  double f64() {
-    if (!need(8)) return 0.0;
-    const double v = wire::get_f64(p + at);
-    at += 8;
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t len = u32();
-    if (!need(len)) return {};
-    std::string s(reinterpret_cast<const char*>(p + at), len);
-    at += len;
-    return s;
-  }
-  [[nodiscard]] bool done() const { return ok && at == size; }
-};
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
+using wire::Reader;
 
 // --- FaultSpec -------------------------------------------------------------
 // Field-by-field binary, NOT describe()/parse(): the belief must round-trip
@@ -291,7 +240,9 @@ std::vector<std::uint8_t> encode_node_supervisor(
   std::vector<std::uint8_t> out;
   put_fault_spec(out, s.planned_against);
   put_fault_spec(out, s.pending_diag);
-  put_str(out, s.pending_descr);
+  // Image v2 carries the pending diagnosis's describe() string: derived
+  // here, skipped on read.
+  put_str(out, s.pending_count != 0 ? s.pending_diag.describe() : "");
   put_u32(out, s.pending_count);
   put_u32(out, s.quiet_count);
   put_u32(out, s.replans);
@@ -313,7 +264,7 @@ util::Status decode_node_supervisor(const std::vector<std::uint8_t>& bytes,
   Reader r{bytes.data(), bytes.size()};
   s.planned_against = get_fault_spec(r);
   s.pending_diag = get_fault_spec(r);
-  s.pending_descr = r.str();
+  (void)r.str();
   s.pending_count = r.u32();
   s.quiet_count = r.u32();
   s.replans = r.u32();

@@ -156,6 +156,7 @@ std::vector<unsigned> Executor::broken_controllers(arch::Cycles now) const {
 SubmitResult Executor::submit(const JobSpec& spec) {
   if (!(spec.fair_weight > 0.0))
     throw std::invalid_argument("Executor: JobSpec::fair_weight must be > 0");
+  (void)PricingModel::traffic_bytes(spec);  // throws when it overflows
   SubmitResult out;
   out.id = next_id_.fetch_add(1, std::memory_order_relaxed);
   submitted_.fetch_add(1, std::memory_order_relaxed);

@@ -154,7 +154,9 @@ class Executor {
 
   /// Prices and admits one job. Thread-safe. Advances the arrival clock to
   /// spec.arrival. Every call produces exactly one JobReport eventually
-  /// (immediately on rejection, at service/shed time otherwise).
+  /// (immediately on rejection, at service/shed time otherwise). A spec
+  /// with fair_weight <= 0 or traffic that does not fit in 64 bits throws
+  /// std::invalid_argument instead, before an id is minted.
   SubmitResult submit(const JobSpec& spec);
 
   /// Requests cooperative cancellation of an accepted job. Returns false

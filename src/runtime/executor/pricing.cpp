@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "kernels/triad.h"
 #include "seg/planner.h"
@@ -25,6 +26,15 @@ StreamShape shape_of(JobKind kind) {
       return {2, 1};  // f_src read, f_dst written
   }
   throw std::invalid_argument("pricing: unknown job kind");
+}
+
+/// Out of line, so the checked products in traffic_bytes stay cheap.
+[[noreturn]] void refuse_wrapping_traffic(const JobSpec& job) {
+  throw std::invalid_argument(
+      std::string("pricing: traffic of a ") + to_string(job.kind) +
+      " job with n=" + std::to_string(job.n) +
+      " iterations=" + std::to_string(job.iterations) +
+      " does not fit in 64 bits");
 }
 
 /// A job's quote at `bandwidth` bytes/s: its traffic in service cycles at
@@ -59,21 +69,28 @@ PricingModel::PricingModel(PricingConfig cfg)
 }
 
 std::uint64_t PricingModel::traffic_bytes(const JobSpec& job) {
+  // Every product is checked: traffic that wraps would price a huge job as
+  // nearly free and charge nothing against its tenant's quota.
+  const auto mul = [&job](std::uint64_t a, std::uint64_t b) {
+    std::uint64_t product = 0;
+    if (__builtin_mul_overflow(a, b, &product)) refuse_wrapping_traffic(job);
+    return product;
+  };
   const auto n = static_cast<std::uint64_t>(job.n);
   const auto iters = static_cast<std::uint64_t>(job.iterations);
   switch (job.kind) {
     case JobKind::kTriad:
       // 3 reads + RFO + write-back = 5 words per element (Fig. 4 convention).
-      return kernels::triad_actual_bytes(job.n) * iters;
+      return mul(mul(kernels::triad_actual_bytes(1), n), iters);
     case JobKind::kJacobi:
       // Per updated cell of the n x n grid: source read + destination
       // RFO + write-back = 3 doubles. (Stencil neighbours come from cache;
       // the self-consistent convention counts each grid once per sweep.)
-      return 24 * n * n * iters;
+      return mul(mul(mul(24, n), n), iters);
     case JobKind::kLbm:
       // D3Q19 on an n^3 box: 19 distributions read, 19 written with RFO
       // = 57 doubles = 456 B per cell-step.
-      return 456 * n * n * n * iters;
+      return mul(mul(mul(mul(456, n), n), n), iters);
   }
   throw std::invalid_argument("pricing: unknown job kind");
 }

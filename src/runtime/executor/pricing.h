@@ -79,6 +79,7 @@ class PricingModel {
 
   /// Total memory traffic of a job in bytes (reads + RFO + write-backs),
   /// the numerator of every quote and of the soak's goodput accounting.
+  /// Throws std::invalid_argument when it does not fit in 64 bits.
   [[nodiscard]] static std::uint64_t traffic_bytes(const JobSpec& job);
 
   /// Healthy planned-layout bandwidth of a kind (bytes/s): the analytic

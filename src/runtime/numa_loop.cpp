@@ -373,7 +373,6 @@ NodeLoopResult run_supervised_node_triad(std::size_t n,
       // socket's controllers stay silent; a recovered domain serves locally
       // and lights them up. Cycles are charged like a scrub — no goodput.
       const unsigned ps = dec.probe_socket;
-      const RecoveryConfig& rc = cfg.detector.recovery;
       sim::NodeConfig pnc = cfg.node;
       pnc.sim.fault_schedule = cfg.node.sim.fault_schedule.shifted(global);
       const seg::StreamPlan pplan = seg::plan_stream_offsets(4, map);
@@ -382,8 +381,8 @@ NodeLoopResult run_supervised_node_triad(std::size_t n,
         pbases[k] = cfg.node.node.socket_base(ps) +
                     cfg.node.node.domain_bytes() / 2 + pplan.offsets[k];
       std::vector<sim::Workload> pwls(sockets);
-      auto pwl = kernels::make_triad_workload(pbases, rc.probe_elements,
-                                              rc.probe_threads,
+      auto pwl = kernels::make_triad_workload(pbases, kProbeElements,
+                                              kProbeThreads,
                                               sched::Schedule::static_block(), 1);
       for (auto& program : pwl) pwls[ps].push_back(std::move(program));
       sim::Node pnode(pnc);
@@ -428,34 +427,31 @@ NodeLoopResult run_supervised_node_triad(std::size_t n,
         placement_bandwidth(jobs, cfg.threads, n, cfg.node, pricing);
     const double bw_new =
         placement_bandwidth(candidate, cfg.threads, n, cfg.node, pricing);
+    // Price each moved range: B, C, D read once from wherever the old home
+    // is served under the diagnosis (link bandwidth when remote), then
+    // first-touch written into the new home at the post-migration rate.
     const std::vector<MovedRange> moved = moved_ranges(jobs, candidate);
-    const unsigned remaining = cfg.slices - slice - 1;
-    bool migrate = false;
     double mig_seconds = 0.0;
     std::uint64_t moved_bytes = 0;
-    if (remaining > 0 && bw_now > 0.0 && bw_new > bw_now) {
-      const double rem_bytes =
-          static_cast<double>(remaining) * static_cast<double>(sockets) *
-          static_cast<double>(kernels::triad_actual_bytes(n));
-      const double saved = rem_bytes / bw_now - rem_bytes / bw_new;
-      // Price each moved range: B, C, D read once from wherever the old home
-      // is served under the diagnosis (link bandwidth when remote), then
-      // first-touch written into the new home at the post-migration rate.
-      for (const MovedRange& m : moved) {
-        const double copy_bytes = 3.0 * static_cast<double>(m.count) * 8.0;
-        moved_bytes += static_cast<std::uint64_t>(copy_bytes);
-        const sim::NumaRoutes routes = sim::resolve_numa_routes(
-            cfg.node.node, dec.diagnosis, m.new_compute);
-        const unsigned serving = routes.home_serving[m.old_home];
-        double read_bw = bw_new;
-        if (serving != m.new_compute && routes.line_cycles[serving] > 0)
-          read_bw = std::min(
-              read_bw, 64.0 / static_cast<double>(routes.line_cycles[serving]) *
-                           ghz * 1e9);
-        mig_seconds += copy_bytes / read_bw + copy_bytes / bw_new;
-      }
-      migrate = saved * cfg.migration_safety >= mig_seconds;
+    for (const MovedRange& m : moved) {
+      const double copy_bytes = 3.0 * static_cast<double>(m.count) * 8.0;
+      moved_bytes += static_cast<std::uint64_t>(copy_bytes);
+      const sim::NumaRoutes routes = sim::resolve_numa_routes(
+          cfg.node.node, dec.diagnosis, m.new_compute);
+      const unsigned serving = routes.home_serving[m.old_home];
+      double read_bw = bw_new;
+      if (serving != m.new_compute && routes.line_cycles[serving] > 0)
+        read_bw = std::min(
+            read_bw, 64.0 / static_cast<double>(routes.line_cycles[serving]) *
+                         ghz * 1e9);
+      mig_seconds += copy_bytes / read_bw + copy_bytes / bw_new;
     }
+    // Every job sweeps once per slice.
+    const bool migrate = migration_pays(
+        cfg.slices - slice - 1,
+        static_cast<double>(sockets) *
+            static_cast<double>(kernels::triad_actual_bytes(n)),
+        bw_now, bw_new, mig_seconds, cfg.migration_safety);
     if (!migrate) {
       ++out.declined;
       obs::trace_instant("sock.decline", "numa", global, 0);
@@ -522,7 +518,6 @@ NodeLoopResult run_supervised_node_triad(std::size_t n,
                    std::to_string(crc_verified));
   }
 
-  out.suppressed = sup.suppressed();
   out.probes = sup.probes();
   out.probe_failures = sup.probe_failures();
   out.recoveries = sup.recoveries();
@@ -533,9 +528,7 @@ NodeLoopResult run_supervised_node_triad(std::size_t n,
           : sim::FaultSpec{};
   out.final_socket_utilization = last_sample.socket_utilization;
   out.final_jobs = jobs;
-  out.seconds = arch::cycles_to_seconds(out.total_cycles, ghz);
-  out.bandwidth =
-      out.seconds > 0.0 ? static_cast<double>(out.bytes) / out.seconds : 0.0;
+  out.finish(sup.suppressed(), ghz);
   out.remote_fraction =
       out.bytes != 0
           ? static_cast<double>(out.remote_bytes) / static_cast<double>(out.bytes)

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "obs/timeline.h"
+#include "runtime/supervised_loop.h"
 #include "runtime/supervisor.h"
 #include "sim/node.h"
 #include "util/expected.h"
@@ -105,17 +106,9 @@ struct NodeSliceRecord {
   std::uint64_t remote_bytes = 0;
 };
 
-struct NodeLoopResult {
-  arch::Cycles total_cycles = 0;
-  arch::Cycles migration_cycles = 0;
-  std::uint64_t bytes = 0;         ///< kernel traffic, both directions
+struct NodeLoopResult : LoopTotals {
   std::uint64_t remote_bytes = 0;  ///< cross-socket share of `bytes`
-  double seconds = 0.0;
-  double bandwidth = 0.0;  ///< bytes/seconds, migration time included
   double remote_fraction = 0.0;
-  unsigned replans = 0;
-  unsigned suppressed = 0;
-  unsigned declined = 0;
   /// Fail-back channel: canaries launched / canaries that found the domain
   /// still dead / probe-confirmed recoveries / ramps completed to full
   /// weight (NodeSupervisor counters at loop end).
@@ -131,8 +124,6 @@ struct NodeLoopResult {
   unsigned belief_stale_windows = 0;
   /// Moved shard ranges CRC-verified across all committed migrations.
   unsigned crc_ranges_verified = 0;
-  /// Socket/link fault state the supervisor believes at the end.
-  sim::FaultSpec final_diagnosis;
   std::vector<double> final_socket_utilization;
   std::vector<NodeReplanRecord> replan_log;
   std::vector<NodeSliceRecord> slice_log;

@@ -182,18 +182,15 @@ exec::SubmitResult Service::submit_impl(TenantId tenant, exec::JobSpec spec,
   spec.fair_weight = t.cfg.weight;
   const SloPolicy& pol = cfg_.slo[static_cast<std::size_t>(t.cfg.slo)];
   spec.priority = pol.priority;
-  if (!(cfg_.allow_explicit_deadlines && spec.deadline != exec::kNoDeadline)) {
-    spec.deadline = exec::kNoDeadline;
-    if (pol.deadline_slack > 0.0) {
-      // The healthy quote is a table lookup. It only fails if the chip has
-      // no controllers at all; fall back to one cycle so the deadline stays
-      // finite rather than wedging.
-      const auto healthy = executor_.pricing().price(spec, sim::FaultSpec{});
-      const arch::Cycles cycles = healthy ? healthy.value().service_cycles : 1;
-      spec.deadline = now + pol.deadline_floor +
-                      static_cast<arch::Cycles>(std::ceil(
-                          static_cast<double>(cycles) * pol.deadline_slack));
-    }
+  if (spec.deadline == exec::kNoDeadline && pol.deadline_slack > 0.0) {
+    // The healthy quote is a table lookup. It only fails if the chip has
+    // no controllers at all; fall back to one cycle so the deadline stays
+    // finite rather than wedging.
+    const auto healthy = executor_.pricing().price(spec, sim::FaultSpec{});
+    const arch::Cycles cycles = healthy ? healthy.value().service_cycles : 1;
+    spec.deadline = now + pol.deadline_floor +
+                    static_cast<arch::Cycles>(std::ceil(
+                        static_cast<double>(cycles) * pol.deadline_slack));
   }
 
   ++t.counters.forwarded;

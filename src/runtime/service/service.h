@@ -103,9 +103,6 @@ struct ServiceConfig {
       SloPolicy{exec::Priority::kHigh, 24.0},
       SloPolicy{exec::Priority::kNormal, 96.0},
       SloPolicy{exec::Priority::kLow, 0.0}};
-  /// Honor a deadline the submitter set explicitly instead of the SLO
-  /// default (the chaos harness's deadline abuser needs this on).
-  bool allow_explicit_deadlines = true;
 };
 
 /// Door-level accounting for one tenant. Bytes are static traffic bytes
@@ -176,12 +173,13 @@ class Service {
   TenantId register_tenant(TenantConfig cfg);
 
   /// Submits one job on behalf of `tenant`. The service stamps the spec's
-  /// tenant/fair_weight/priority and (unless the submitter set one and
-  /// allow_explicit_deadlines) an SLO deadline, runs the door (breaker,
-  /// quota), and forwards survivors to the executor. Door rejections return
-  /// accepted=false with ShedReason::kTenantThrottled and touch neither the
-  /// executor's admission projection nor its report log. Throws on unknown
-  /// tenant ids.
+  /// tenant/fair_weight/priority and (unless the submitter set one) an SLO
+  /// deadline, runs the door (breaker, quota), and forwards survivors to the
+  /// executor. Door rejections return accepted=false with
+  /// ShedReason::kTenantThrottled and touch neither the executor's admission
+  /// projection nor its report log. Throws std::out_of_range on unknown
+  /// tenant ids and std::invalid_argument for a job whose traffic does not
+  /// fit in 64 bits, before any counter moves.
   exec::SubmitResult submit(TenantId tenant, exec::JobSpec spec);
 
   /// Journal-replay variant of submit(): runs the full door — advancing the

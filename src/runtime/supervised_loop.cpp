@@ -81,61 +81,258 @@ void charge_scrub(LoopResult& out, arch::Cycles& global, double live_bytes,
                  " cost=" + std::to_string(cost) + " cycles");
 }
 
-/// Analytic triad bandwidth for the given array bases under a fault belief.
-double triad_analytic_bw(const std::vector<arch::Addr>& bases, unsigned threads,
-                         const sim::SimConfig& sc, const arch::AddressMap& map,
-                         const sim::FaultSpec& belief) {
-  const std::vector<sim::AnalyticStream> logical = {
-      {bases[0], true}, {bases[1], false}, {bases[2], false}, {bases[3], false}};
-  const auto physical = sim::expand_rfo(logical);
-  return sim::estimate_bandwidth(physical, threads, sc.calibration, map,
-                                 sc.topology.clock_ghz, belief)
-      .bandwidth;
-}
-
-/// Hypothetical triad bases under a stream plan (analytic probes only; the
-/// probe base is period-aligned so only the planned offsets matter).
-std::vector<arch::Addr> plan_probe_bases(const seg::StreamPlan& plan) {
+/// Triad A = B + C*D over four arrays at `bases` (order A,B,C,D): the
+/// kernel-specific half of run_slices().
+struct TriadKernel {
+  trace::VirtualArena& arena;
   std::vector<arch::Addr> bases;
-  bases.reserve(plan.offsets.size());
-  for (const std::size_t off : plan.offsets)
-    bases.push_back((arch::Addr{1} << 40) + off);
-  return bases;
-}
+  std::size_t n;
+  const LoopConfig& cfg;
+  arch::AddressMap map;
 
-/// First interior source-row bases, one per concurrently running thread
-/// (static,1: thread t's first row is 1 + t).
-std::vector<arch::Addr> jacobi_front_bases(const trace::VirtualSegArray& src,
-                                           std::size_t n, unsigned threads) {
-  std::vector<arch::Addr> bases;
-  const std::size_t rows = std::min<std::size_t>(threads, n - 2);
-  for (std::size_t t = 0; t < rows; ++t)
-    bases.push_back(src.segment_base(1 + t));
-  return bases;
-}
-
-/// Analytic Jacobi bandwidth proxy: each concurrent thread contributes its
-/// first source row as a read stream and the matching dest row as a write
-/// stream — enough to expose row-shift aliasing to the lockstep model.
-double jacobi_analytic_bw(const trace::VirtualSegArray& src,
-                          const trace::VirtualSegArray& dst, std::size_t n,
-                          unsigned threads, const sim::SimConfig& sc,
-                          const arch::AddressMap& map,
-                          const sim::FaultSpec& belief) {
-  std::vector<sim::AnalyticStream> logical;
-  const std::size_t rows = std::min<std::size_t>(threads, n - 2);
-  for (std::size_t t = 0; t < rows; ++t) {
-    logical.push_back({src.segment_base(1 + t), false});
-    logical.push_back({dst.segment_base(1 + t), true});
+  [[nodiscard]] sim::Workload workload() const {
+    return kernels::make_triad_workload(bases, n, cfg.threads,
+                                        sched::Schedule::static_block(), 1);
   }
-  const auto physical = sim::expand_rfo(logical);
-  return sim::estimate_bandwidth(physical, static_cast<unsigned>(rows),
-                                 sc.calibration, map, sc.topology.clock_ghz,
-                                 belief)
-      .bandwidth;
+  /// Analytic triad bandwidth for the given array bases under `faults`.
+  [[nodiscard]] double bandwidth_at(const std::vector<arch::Addr>& at,
+                                    const sim::FaultSpec& faults) const {
+    const std::vector<sim::AnalyticStream> logical = {
+        {at[0], true}, {at[1], false}, {at[2], false}, {at[3], false}};
+    const auto physical = sim::expand_rfo(logical);
+    return sim::estimate_bandwidth(physical, cfg.threads, cfg.sim.calibration,
+                                   map, cfg.sim.topology.clock_ghz, faults)
+        .bandwidth;
+  }
+  [[nodiscard]] double bandwidth(const sim::FaultSpec& faults) const {
+    return bandwidth_at(bases, faults);
+  }
+  [[nodiscard]] seg::StreamPlan plan(const std::vector<unsigned>& set) const {
+    return seg::plan_stream_offsets(4, map, set);
+  }
+  /// Hypothetical bases under a stream plan (analytic probes only; the probe
+  /// base is period-aligned so only the planned offsets matter).
+  [[nodiscard]] double bandwidth(const seg::StreamPlan& p,
+                                 const sim::FaultSpec& faults) const {
+    std::vector<arch::Addr> at;
+    at.reserve(p.offsets.size());
+    for (const std::size_t off : p.offsets)
+      at.push_back((arch::Addr{1} << 40) + off);
+    return bandwidth_at(at, faults);
+  }
+  [[nodiscard]] double live_bytes() const {
+    return 4.0 * static_cast<double>(n) * 8.0;
+  }
+  /// B, C, D copied out and back in; A is overwritten every sweep.
+  [[nodiscard]] double copy_bytes() const {
+    return 3.0 * static_cast<double>(n) * 8.0 * 2.0;
+  }
+  [[nodiscard]] double slice_bytes(const LoopResult& /*out*/,
+                                   unsigned /*slice*/) const {
+    return static_cast<double>(kernels::triad_actual_bytes(n));
+  }
+  std::vector<arch::Addr> relayout(const seg::StreamPlan& p) {
+    for (std::size_t k = 0; k < bases.size(); ++k) {
+      const std::size_t off = p.offsets[k];
+      bases[k] = arena.allocate(n * sizeof(double) + off, p.base_align) + off;
+    }
+    return bases;
+  }
+  [[nodiscard]] std::vector<arch::Addr> final_bases() const { return bases; }
+};
+
+/// Jacobi relaxation on two toggle grids under the "static,1" schedule of
+/// the paper's optimal configuration: the kernel-specific half of
+/// run_slices().
+struct JacobiKernel {
+  trace::VirtualArena& arena;
+  std::size_t n;
+  const LoopConfig& cfg;
+  arch::AddressMap map;
+  kernels::VirtualJacobi grids;
+  bool flipped = false;  // which toggle grid holds the state
+  /// The grids the last sweep read and wrote.
+  const trace::VirtualSegArray* src = nullptr;
+  const trace::VirtualSegArray* dst = nullptr;
+
+  sim::Workload workload() {
+    src = flipped ? &grids.dest : &grids.source;
+    dst = flipped ? &grids.source : &grids.dest;
+    flipped = !flipped;
+    return trace::make_jacobi_workload(trace::JacobiGrids{src, dst, n},
+                                       cfg.threads,
+                                       sched::Schedule::static_chunk(1), 1);
+  }
+  /// First interior source-row bases, one per concurrently running thread
+  /// (static,1: thread t's first row is 1 + t).
+  [[nodiscard]] std::vector<arch::Addr> front_bases(
+      const trace::VirtualSegArray& from) const {
+    std::vector<arch::Addr> bases;
+    const std::size_t rows = std::min<std::size_t>(cfg.threads, n - 2);
+    for (std::size_t t = 0; t < rows; ++t)
+      bases.push_back(from.segment_base(1 + t));
+    return bases;
+  }
+  /// Analytic Jacobi bandwidth proxy: each concurrent thread contributes its
+  /// first source row as a read stream and the matching dest row as a write
+  /// stream — enough to expose row-shift aliasing to the lockstep model.
+  [[nodiscard]] double bandwidth_of(const trace::VirtualSegArray& from,
+                                    const trace::VirtualSegArray& to,
+                                    const sim::FaultSpec& faults) const {
+    std::vector<sim::AnalyticStream> logical;
+    const std::size_t rows = std::min<std::size_t>(cfg.threads, n - 2);
+    for (std::size_t t = 0; t < rows; ++t) {
+      logical.push_back({from.segment_base(1 + t), false});
+      logical.push_back({to.segment_base(1 + t), true});
+    }
+    const auto physical = sim::expand_rfo(logical);
+    return sim::estimate_bandwidth(physical, static_cast<unsigned>(rows),
+                                   cfg.sim.calibration, map,
+                                   cfg.sim.topology.clock_ghz, faults)
+        .bandwidth;
+  }
+  [[nodiscard]] double bandwidth(const sim::FaultSpec& faults) const {
+    return bandwidth_of(*src, *dst, faults);
+  }
+  [[nodiscard]] seg::RowPlan plan(const std::vector<unsigned>& set) const {
+    return set.size() == cfg.sim.interleave.num_controllers()
+               ? seg::plan_row_layout(map)
+               : seg::plan_row_layout(map, set);
+  }
+  [[nodiscard]] double bandwidth(const seg::RowPlan& p,
+                                 const sim::FaultSpec& faults) const {
+    // Candidate grids live in a scratch address range: analytic probes only.
+    trace::VirtualArena probe(arch::Addr{1} << 44);
+    const kernels::VirtualJacobi cand =
+        kernels::make_virtual_jacobi(probe, n, p.spec());
+    return bandwidth_of(cand.source, cand.dest, faults);
+  }
+  [[nodiscard]] double live_bytes() const {
+    return 2.0 * static_cast<double>(n) * static_cast<double>(n) * 8.0;
+  }
+  /// Both toggle grids move: read out + write back.
+  [[nodiscard]] double copy_bytes() const {
+    return 2.0 * static_cast<double>(n) * static_cast<double>(n) * 8.0 * 2.0;
+  }
+  /// The measured traffic per sweep so far.
+  [[nodiscard]] double slice_bytes(const LoopResult& out,
+                                   unsigned slice) const {
+    return static_cast<double>(out.bytes) / static_cast<double>(slice + 1);
+  }
+  std::vector<arch::Addr> relayout(const seg::RowPlan& p) {
+    grids = kernels::make_virtual_jacobi(arena, n, p.spec());
+    flipped = false;  // fresh grids: state lives in `source` again
+    return front_bases(grids.source);
+  }
+  [[nodiscard]] std::vector<arch::Addr> final_bases() const {
+    return front_bases(flipped ? grids.dest : grids.source);
+  }
+};
+
+/// The supervised slice loop of every chip kernel: run a sweep on the DES,
+/// account it, stitch its timeline, sample it, let the supervisor observe
+/// it, then scrub, or gate a proposed replan and decline it or migrate and
+/// commit. `Kernel` supplies everything that differs between kernels.
+template <class Kernel>
+LoopResult run_slices(Kernel& k, const LoopConfig& cfg, const char* who) {
+  const double ghz = cfg.sim.topology.clock_ghz;
+  Supervisor sup(cfg.detector, cfg.sim.interleave, cfg.seed);
+
+  LoopResult out;
+  arch::Cycles global = 0;
+  Sample last_sample;
+
+  for (unsigned slice = 0; slice < cfg.slices; ++slice) {
+    const obs::TraceSpan slice_span("loop.slice", "loop", slice, global);
+    sim::SimConfig sc = cfg.sim;
+    sc.fault_schedule = cfg.sim.fault_schedule.shifted(global);
+    auto wl = k.workload();
+    sim::Chip chip(sc, arch::equidistant_placement(cfg.threads, sc.topology));
+    const sim::SimResult res = chip.run(wl);
+
+    const arch::Cycles slice_begin = global;
+    global += res.total_cycles;
+    out.total_cycles += res.total_cycles;
+    out.bytes += res.mem_read_bytes + res.mem_write_bytes;
+    append_timeline(out, res, slice_begin);
+    last_sample = make_sample(res, slice_begin);
+    if (!cfg.supervise) continue;
+
+    // Layout deficit under the current belief: candidate planner layout over
+    // the believed-healthy set vs what we are running now.
+    const sim::FaultSpec& belief = sup.planned_against();
+    const double cur_bw = k.bandwidth(belief);
+    const double cand_bw = k.bandwidth(
+        k.plan(belief.surviving_controllers(cfg.sim.interleave)), belief);
+    const double gain = cur_bw > 0.0 ? cand_bw / cur_bw : 1.0;
+
+    const Decision dec = sup.observe(last_sample, gain);
+    if (dec.action == Action::kScrub) {
+      charge_scrub(out, global, k.live_bytes(), cur_bw, ghz, who);
+      continue;
+    }
+    if (dec.action != Action::kReplan) continue;
+
+    // Break-even gate: price the copy at the post-migration bandwidth.
+    const auto plan = k.plan(dec.plan_set);
+    const double bw_now = k.bandwidth(dec.diagnosis);
+    const double bw_new = k.bandwidth(plan, dec.diagnosis);
+    const unsigned remaining = cfg.slices - slice - 1;
+    const double mig_seconds = k.copy_bytes() / bw_new;
+    if (!migration_pays(remaining, k.slice_bytes(out, slice), bw_now, bw_new,
+                        mig_seconds, cfg.migration_safety)) {
+      ++out.declined;
+      obs::trace_instant("loop.decline", "loop", global, 0);
+      sup.abort(global);
+      util::log_info(std::string(who) + ": migration declined at=" +
+                     std::to_string(global) + " (gain does not cover copy)" +
+                     " bw_now=" + std::to_string(bw_now) +
+                     " bw_new=" + std::to_string(bw_new) +
+                     " remaining=" + std::to_string(remaining) +
+                     " mig_s=" + std::to_string(mig_seconds));
+      continue;
+    }
+
+    std::vector<arch::Addr> bases = k.relayout(plan);
+    const arch::Cycles mig_cycles = arch::seconds_to_cycles(mig_seconds, ghz);
+    obs::trace_instant("loop.migrate", "loop", global, mig_cycles);
+    global += mig_cycles;
+    out.total_cycles += mig_cycles;
+    out.migration_cycles += mig_cycles;
+    sup.commit(global);
+    ++out.replans;
+    out.replan_log.push_back({global, dec.plan_set, std::move(bases),
+                              mig_cycles});
+    util::log_info(std::string(who) + ": migrated at=" +
+                   std::to_string(global) + " cost=" +
+                   std::to_string(mig_cycles) + " cycles");
+  }
+
+  out.final_diagnosis = cfg.supervise && !last_sample.mc_utilization.empty()
+                            ? sup.diagnose(last_sample.mc_utilization)
+                            : sim::FaultSpec{};
+  out.final_mc_utilization = last_sample.mc_utilization;
+  out.final_bases = k.final_bases();
+  out.finish(sup.suppressed(), ghz);
+  return out;
 }
 
 }  // namespace
+
+bool migration_pays(unsigned remaining, double slice_bytes, double bw_now,
+                    double bw_new, double migration_seconds,
+                    double safety) noexcept {
+  if (remaining == 0 || !(bw_now > 0.0) || !(bw_new > bw_now)) return false;
+  const double rem_bytes = static_cast<double>(remaining) * slice_bytes;
+  const double saved = rem_bytes / bw_now - rem_bytes / bw_new;
+  return saved * safety >= migration_seconds;
+}
+
+void LoopTotals::finish(unsigned suppressed_proposals, double clock_ghz) {
+  suppressed = suppressed_proposals;
+  seconds = arch::cycles_to_seconds(total_cycles, clock_ghz);
+  bandwidth = seconds > 0.0 ? static_cast<double>(bytes) / seconds : 0.0;
+}
 
 util::Status LoopConfig::check() const {
   util::Status status;
@@ -156,110 +353,9 @@ LoopResult run_supervised_triad(trace::VirtualArena& arena,
   cfg.check().throw_if_failed();
   if (bases.size() != 4)
     throw std::invalid_argument("run_supervised_triad: need 4 bases (A,B,C,D)");
-
-  const arch::AddressMap map(cfg.sim.interleave);
-  const double ghz = cfg.sim.topology.clock_ghz;
-  Supervisor sup(cfg.detector, cfg.sim.interleave, cfg.seed);
-
-  LoopResult out;
-  arch::Cycles global = 0;
-  Sample last_sample;
-
-  for (unsigned slice = 0; slice < cfg.slices; ++slice) {
-    const obs::TraceSpan slice_span("loop.slice", "loop", slice, global);
-    sim::SimConfig sc = cfg.sim;
-    sc.fault_schedule = cfg.sim.fault_schedule.shifted(global);
-    auto wl = kernels::make_triad_workload(bases, n, cfg.threads,
-                                           sched::Schedule::static_block(), 1);
-    sim::Chip chip(sc, arch::equidistant_placement(cfg.threads, sc.topology));
-    const sim::SimResult res = chip.run(wl);
-
-    const arch::Cycles slice_begin = global;
-    global += res.total_cycles;
-    out.total_cycles += res.total_cycles;
-    out.bytes += res.mem_read_bytes + res.mem_write_bytes;
-    append_timeline(out, res, slice_begin);
-    last_sample = make_sample(res, slice_begin);
-    if (!cfg.supervise) continue;
-
-    // Layout deficit under the current belief: candidate planner layout over
-    // the believed-healthy set vs what we are running now.
-    const sim::FaultSpec& belief = sup.planned_against();
-    const auto believed_set = belief.surviving_controllers(cfg.sim.interleave);
-    const double cur_bw =
-        triad_analytic_bw(bases, cfg.threads, cfg.sim, map, belief);
-    const double cand_bw = triad_analytic_bw(
-        plan_probe_bases(seg::plan_stream_offsets(4, map, believed_set)),
-        cfg.threads, cfg.sim, map, belief);
-    const double gain = cur_bw > 0.0 ? cand_bw / cur_bw : 1.0;
-
-    const Decision dec = sup.observe(last_sample, gain);
-    if (dec.action == Action::kScrub) {
-      charge_scrub(out, global, 4.0 * static_cast<double>(n) * 8.0, cur_bw,
-                   ghz, "supervised_triad");
-      continue;
-    }
-    if (dec.action != Action::kReplan) continue;
-
-    // Break-even gate: price the copy at the post-migration bandwidth and
-    // require the projected savings over the remaining sweeps to clear it
-    // by the safety margin.
-    const seg::StreamPlan plan = seg::plan_stream_offsets(4, map, dec.plan_set);
-    const double bw_now =
-        triad_analytic_bw(bases, cfg.threads, cfg.sim, map, dec.diagnosis);
-    const double bw_new = triad_analytic_bw(
-        plan_probe_bases(plan), cfg.threads, cfg.sim, map, dec.diagnosis);
-    const unsigned remaining = cfg.slices - slice - 1;
-    bool migrate = false;
-    double mig_seconds = 0.0;
-    if (remaining > 0 && bw_now > 0.0 && bw_new > bw_now) {
-      const double rem_bytes = static_cast<double>(remaining) *
-                               static_cast<double>(kernels::triad_actual_bytes(n));
-      const double saved = rem_bytes / bw_now - rem_bytes / bw_new;
-      // B, C, D copied out and back in; A is overwritten every sweep.
-      const double mig_bytes = 3.0 * static_cast<double>(n) * 8.0 * 2.0;
-      mig_seconds = mig_bytes / bw_new;
-      migrate = saved * cfg.migration_safety >= mig_seconds;
-    }
-    if (!migrate) {
-      ++out.declined;
-      obs::trace_instant("loop.decline", "loop", global, 0);
-      sup.abort(global);
-      util::log_info("supervised_triad: migration declined at=" +
-                     std::to_string(global) + " (gain does not cover copy)" +
-                     " bw_now=" + std::to_string(bw_now) +
-                     " bw_new=" + std::to_string(bw_new) +
-                     " remaining=" + std::to_string(remaining) +
-                     " mig_s=" + std::to_string(mig_seconds));
-      continue;
-    }
-
-    for (std::size_t k = 0; k < bases.size(); ++k) {
-      const std::size_t off = plan.offsets[k];
-      bases[k] = arena.allocate(n * sizeof(double) + off, plan.base_align) + off;
-    }
-    const arch::Cycles mig_cycles = arch::seconds_to_cycles(mig_seconds, ghz);
-    obs::trace_instant("loop.migrate", "loop", global, mig_cycles);
-    global += mig_cycles;
-    out.total_cycles += mig_cycles;
-    out.migration_cycles += mig_cycles;
-    sup.commit(global);
-    ++out.replans;
-    out.replan_log.push_back({global, dec.plan_set, bases, mig_cycles});
-    util::log_info("supervised_triad: migrated at=" + std::to_string(global) +
-                   " cost=" + std::to_string(mig_cycles) + " cycles");
-  }
-
-  out.suppressed = sup.suppressed();
-  out.final_diagnosis = cfg.supervise && !last_sample.mc_utilization.empty()
-                            ? sup.diagnose(last_sample.mc_utilization)
-                            : sim::FaultSpec{};
-  out.final_mc_utilization = last_sample.mc_utilization;
-  out.final_bases = bases;
-  out.seconds = arch::cycles_to_seconds(out.total_cycles, ghz);
-  out.bandwidth =
-      out.seconds > 0.0 ? static_cast<double>(out.bytes) / out.seconds : 0.0;
-  return out;
+  TriadKernel k{arena, std::move(bases), n, cfg,
+                arch::AddressMap(cfg.sim.interleave)};
+  return run_slices(k, cfg, "supervised_triad");
 }
 
 LoopResult run_supervised_jacobi(trace::VirtualArena& arena, std::size_t n,
@@ -268,126 +364,9 @@ LoopResult run_supervised_jacobi(trace::VirtualArena& arena, std::size_t n,
   cfg.check().throw_if_failed();
   if (n < 3)
     throw std::invalid_argument("run_supervised_jacobi: grid too small");
-
-  const arch::AddressMap map(cfg.sim.interleave);
-  const double ghz = cfg.sim.topology.clock_ghz;
-  const sched::Schedule row_schedule = sched::Schedule::static_chunk(1);
-  Supervisor sup(cfg.detector, cfg.sim.interleave, cfg.seed);
-
-  kernels::VirtualJacobi grids = kernels::make_virtual_jacobi(arena, n, initial_spec);
-  bool flipped = false;  // which toggle grid currently holds the state
-
-  LoopResult out;
-  arch::Cycles global = 0;
-  Sample last_sample;
-
-  for (unsigned slice = 0; slice < cfg.slices; ++slice) {
-    const obs::TraceSpan slice_span("loop.slice", "loop", slice, global);
-    const trace::VirtualSegArray& src = flipped ? grids.dest : grids.source;
-    const trace::VirtualSegArray& dst = flipped ? grids.source : grids.dest;
-    sim::SimConfig sc = cfg.sim;
-    sc.fault_schedule = cfg.sim.fault_schedule.shifted(global);
-    auto wl = trace::make_jacobi_workload(trace::JacobiGrids{&src, &dst, n},
-                                          cfg.threads, row_schedule, 1);
-    sim::Chip chip(sc, arch::equidistant_placement(cfg.threads, sc.topology));
-    const sim::SimResult res = chip.run(wl);
-
-    const arch::Cycles slice_begin = global;
-    global += res.total_cycles;
-    out.total_cycles += res.total_cycles;
-    out.bytes += res.mem_read_bytes + res.mem_write_bytes;
-    append_timeline(out, res, slice_begin);
-    last_sample = make_sample(res, slice_begin);
-    flipped = !flipped;
-    if (!cfg.supervise) continue;
-
-    const sim::FaultSpec& belief = sup.planned_against();
-    const auto believed_set = belief.surviving_controllers(cfg.sim.interleave);
-    const seg::RowPlan believed_plan =
-        believed_set.size() == cfg.sim.interleave.num_controllers()
-            ? seg::plan_row_layout(map)
-            : seg::plan_row_layout(map, believed_set);
-    // Candidate grids live in a scratch address range: analytic probes only.
-    trace::VirtualArena probe(arch::Addr{1} << 44);
-    const kernels::VirtualJacobi cand =
-        kernels::make_virtual_jacobi(probe, n, believed_plan.spec());
-    const double cur_bw = jacobi_analytic_bw(src, dst, n, cfg.threads, cfg.sim,
-                                             map, belief);
-    const double cand_bw = jacobi_analytic_bw(cand.source, cand.dest, n,
-                                              cfg.threads, cfg.sim, map, belief);
-    const double gain = cur_bw > 0.0 ? cand_bw / cur_bw : 1.0;
-
-    const Decision dec = sup.observe(last_sample, gain);
-    if (dec.action == Action::kScrub) {
-      charge_scrub(out, global,
-                   2.0 * static_cast<double>(n) * static_cast<double>(n) * 8.0,
-                   cur_bw, ghz, "supervised_jacobi");
-      continue;
-    }
-    if (dec.action != Action::kReplan) continue;
-
-    const seg::RowPlan plan =
-        dec.plan_set.size() == cfg.sim.interleave.num_controllers()
-            ? seg::plan_row_layout(map)
-            : seg::plan_row_layout(map, dec.plan_set);
-    trace::VirtualArena gate_probe(arch::Addr{1} << 45);
-    const kernels::VirtualJacobi gate_cand =
-        kernels::make_virtual_jacobi(gate_probe, n, plan.spec());
-    const double bw_now = jacobi_analytic_bw(src, dst, n, cfg.threads, cfg.sim,
-                                             map, dec.diagnosis);
-    const double bw_new =
-        jacobi_analytic_bw(gate_cand.source, gate_cand.dest, n, cfg.threads,
-                           cfg.sim, map, dec.diagnosis);
-    const unsigned remaining = cfg.slices - slice - 1;
-    bool migrate = false;
-    double mig_seconds = 0.0;
-    if (remaining > 0 && bw_now > 0.0 && bw_new > bw_now && slice + 1 > 0) {
-      const double bytes_per_sweep =
-          static_cast<double>(out.bytes) / static_cast<double>(slice + 1);
-      const double rem_bytes = static_cast<double>(remaining) * bytes_per_sweep;
-      const double saved = rem_bytes / bw_now - rem_bytes / bw_new;
-      // Both toggle grids move: read out + write back.
-      const double mig_bytes =
-          2.0 * static_cast<double>(n) * static_cast<double>(n) * 8.0 * 2.0;
-      mig_seconds = mig_bytes / bw_new;
-      migrate = saved * cfg.migration_safety >= mig_seconds;
-    }
-    if (!migrate) {
-      ++out.declined;
-      obs::trace_instant("loop.decline", "loop", global, 0);
-      sup.abort(global);
-      util::log_info("supervised_jacobi: migration declined at=" +
-                     std::to_string(global) + " (gain does not cover copy)");
-      continue;
-    }
-
-    grids = kernels::make_virtual_jacobi(arena, n, plan.spec());
-    flipped = false;  // fresh grids: state lives in `source` again
-    const arch::Cycles mig_cycles = arch::seconds_to_cycles(mig_seconds, ghz);
-    obs::trace_instant("loop.migrate", "loop", global, mig_cycles);
-    global += mig_cycles;
-    out.total_cycles += mig_cycles;
-    out.migration_cycles += mig_cycles;
-    sup.commit(global);
-    ++out.replans;
-    out.replan_log.push_back({global, dec.plan_set,
-                              jacobi_front_bases(grids.source, n, cfg.threads),
-                              mig_cycles});
-    util::log_info("supervised_jacobi: migrated at=" + std::to_string(global) +
-                   " cost=" + std::to_string(mig_cycles) + " cycles");
-  }
-
-  out.suppressed = sup.suppressed();
-  out.final_diagnosis = cfg.supervise && !last_sample.mc_utilization.empty()
-                            ? sup.diagnose(last_sample.mc_utilization)
-                            : sim::FaultSpec{};
-  out.final_mc_utilization = last_sample.mc_utilization;
-  out.final_bases = jacobi_front_bases(flipped ? grids.dest : grids.source, n,
-                                       cfg.threads);
-  out.seconds = arch::cycles_to_seconds(out.total_cycles, ghz);
-  out.bandwidth =
-      out.seconds > 0.0 ? static_cast<double>(out.bytes) / out.seconds : 0.0;
-  return out;
+  JacobiKernel k{arena, n, cfg, arch::AddressMap(cfg.sim.interleave),
+                 kernels::make_virtual_jacobi(arena, n, initial_spec)};
+  return run_slices(k, cfg, "supervised_jacobi");
 }
 
 }  // namespace mcopt::runtime

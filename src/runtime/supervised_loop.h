@@ -75,7 +75,8 @@ struct ReplanRecord {
   arch::Cycles migration_cycles = 0;
 };
 
-struct LoopResult {
+/// What every supervised loop reports, chip or node.
+struct LoopTotals {
   arch::Cycles total_cycles = 0;      ///< kernel + migration cycles
   arch::Cycles migration_cycles = 0;  ///< migration share of total_cycles
   std::uint64_t bytes = 0;            ///< kernel memory traffic (both dirs)
@@ -84,11 +85,28 @@ struct LoopResult {
   unsigned replans = 0;    ///< committed migrations
   unsigned suppressed = 0; ///< proposals swallowed by backoff
   unsigned declined = 0;   ///< proposals failing the break-even gate
-  unsigned scrubs = 0;     ///< integrity scrubs ordered by the supervisor
-  arch::Cycles scrub_cycles = 0;  ///< verify-pass share of total_cycles
   /// Fault state the supervisor believes at the end of the run (healthy for
   /// unsupervised loops).
   sim::FaultSpec final_diagnosis;
+
+  /// Closes the run: records the supervisor's suppressed proposals and
+  /// derives seconds and bandwidth from the cycles at `clock_ghz`.
+  void finish(unsigned suppressed_proposals, double clock_ghz);
+};
+
+/// The break-even rule of every supervised loop: migrate when the time the
+/// candidate layout saves over `remaining` slices of `slice_bytes` each,
+/// scaled by `safety`, covers `migration_seconds` of copying. `bw_now` and
+/// `bw_new` are the analytic bandwidths of the current and the candidate
+/// layout; a candidate that is not faster never migrates.
+[[nodiscard]] bool migration_pays(unsigned remaining, double slice_bytes,
+                                  double bw_now, double bw_new,
+                                  double migration_seconds,
+                                  double safety) noexcept;
+
+struct LoopResult : LoopTotals {
+  unsigned scrubs = 0;     ///< integrity scrubs ordered by the supervisor
+  arch::Cycles scrub_cycles = 0;  ///< verify-pass share of total_cycles
   std::vector<double> final_mc_utilization;
   std::vector<ReplanRecord> replan_log;
   /// Final stream bases (triad) / first interior row bases (Jacobi).

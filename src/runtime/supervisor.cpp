@@ -4,6 +4,8 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -53,6 +55,30 @@ struct SupMetrics {
   }
 };
 
+/// Two diagnoses name the same fault state when they flag the same dead
+/// domains and the same derated ones, in the same order, with every factor
+/// equal to within float noise: successive samples of one derate diagnose
+/// factors a few ULP apart.
+bool same_fault_state(const sim::FaultSpec& a, const sim::FaultSpec& b) {
+  const auto same = [](const auto& xs, const auto& ys, auto key) {
+    return std::equal(xs.begin(), xs.end(), ys.begin(), ys.end(),
+                      [&](const auto& x, const auto& y) {
+                        return key(x) == key(y) &&
+                               std::abs(x.factor - y.factor) <=
+                                   1e-9 * std::max(x.factor, y.factor);
+                      });
+  };
+  return a.offline_controllers == b.offline_controllers &&
+         a.offline_sockets == b.offline_sockets &&
+         same(a.derates, b.derates,
+              [](const auto& d) { return d.controller; }) &&
+         same(a.socket_derates, b.socket_derates,
+              [](const auto& d) { return d.socket; }) &&
+         same(a.link_faults, b.link_faults, [](const auto& l) {
+           return std::tuple(l.a, l.b, l.offline);
+         });
+}
+
 }  // namespace
 
 const char* action_event_name(Action a) noexcept {
@@ -66,30 +92,10 @@ const char* action_event_name(Action a) noexcept {
   return "supervisor.action";
 }
 
-Supervisor::ScopedEntry::ScopedEntry(std::atomic_flag& flag) : flag_(flag) {
-  if (flag_.test_and_set(std::memory_order_acquire))
-    throw std::logic_error(
-        "Supervisor: concurrent observe/commit/abort — the supervisor is "
-        "single-consumer; feed samples through the executor's ingestion "
-        "queue");
-}
-
-Supervisor::ScopedEntry::~ScopedEntry() {
-  flag_.clear(std::memory_order_release);
-}
-
 util::Status DetectorConfig::check() const {
   util::Status status;
   if (stable_window == 0)
     status.note("DetectorConfig: stable_window must be >= 1");
-  if (!(offline_threshold > 0.0) || offline_threshold >= 1.0)
-    status.note("DetectorConfig: offline_threshold outside (0, 1)");
-  if (derate_threshold <= 1.0)
-    status.note("DetectorConfig: derate_threshold must exceed 1");
-  if (min_signal < 0.0 || min_signal >= 1.0)
-    status.note("DetectorConfig: min_signal outside [0, 1)");
-  if (replan_gain <= 1.0)
-    status.note("DetectorConfig: replan_gain must exceed 1");
   if (backoff.initial == 0) status.note("DetectorConfig: backoff.initial == 0");
   if (backoff.multiplier < 1.0)
     status.note("DetectorConfig: backoff.multiplier < 1");
@@ -101,48 +107,174 @@ util::Status DetectorConfig::check() const {
   return status;
 }
 
+// ---------------------------------------------------------------------------
+// ReplanProtocol
+
+ReplanProtocol::ReplanProtocol(const DetectorConfig& cfg, std::uint64_t seed,
+                               Names names)
+    : stable_window_(cfg.stable_window),
+      quiet_reset_(cfg.quiet_reset),
+      names_(names),
+      backoff_(cfg.backoff, seed) {}
+
+ReplanProtocol::Entry::Entry(std::atomic_flag& flag) : flag_(flag) {
+  if (flag_.test_and_set(std::memory_order_acquire))
+    throw std::logic_error(
+        "supervisor: concurrent or re-entrant call — a supervisor is "
+        "single-consumer; feed its samples from one thread (the executor "
+        "drains its ingestion queue)");
+}
+
+ReplanProtocol::Entry::~Entry() { flag_.clear(std::memory_order_release); }
+
+ReplanProtocol::Entry ReplanProtocol::enter() { return Entry(entered_); }
+
+Action ReplanProtocol::decide(const sim::FaultSpec& diag, double layout_gain,
+                              arch::Cycles now, std::string& reason) {
+  // Debounce: the diagnosis must repeat stable_window times in a row.
+  if (pending_count_ != 0 && same_fault_state(diag, pending_diag_)) {
+    ++pending_count_;
+  } else {
+    pending_diag_ = diag;
+    pending_count_ = 1;
+  }
+  if (pending_count_ < stable_window_) {
+    reason = "unstable diagnosis (" + diag.describe() + ", " +
+             std::to_string(pending_count_) + "/" +
+             std::to_string(stable_window_) + ")";
+    return Action::kKeep;
+  }
+
+  const bool fault_changed = !same_fault_state(pending_diag_, planned_against_);
+  const bool layout_deficit = layout_gain >= kReplanGain;
+  if (!fault_changed && !layout_deficit) {
+    reason = "planned state current";
+    if (++quiet_count_ >= quiet_reset_ && backoff_.retries() != 0) {
+      backoff_.reset();
+      util::log_info(std::string(names_.log) +
+                     ": backoff reset after quiet stretch at=" +
+                     std::to_string(now));
+    }
+    return Action::kKeep;
+  }
+  quiet_count_ = 0;
+
+  reason = fault_changed ? "fault state " + planned_against_.describe() +
+                               " -> " + pending_diag_.describe()
+                         : std::string(names_.gain) + " " +
+                               std::to_string(layout_gain);
+  if (backoff_.ready_in(now) == 0) return Action::kReplan;
+  ++suppressed_;
+  reason += "; suppressed by backoff until " +
+            std::to_string(backoff_.ready_at());
+  return Action::kSuppressed;
+}
+
+void ReplanProtocol::log_proposal(Action action, arch::Cycles now,
+                                  const std::vector<unsigned>& set,
+                                  const std::string& reason) const {
+  util::log_info(std::string(names_.log) +
+                 (action == Action::kReplan ? ": action=replan at="
+                                            : ": action=suppressed at=") +
+                 std::to_string(now) + " set=" + set_to_string(set) +
+                 " reason=" + reason);
+}
+
+sim::FaultSpec ReplanProtocol::commit(arch::Cycles now) {
+  obs::trace_instant(names_.commit_event, "supervisor", now, replans_ + 1u);
+  sim::FaultSpec prior = std::exchange(planned_against_, pending_diag_);
+  backoff_.arm(now);
+  ++replans_;
+  util::log_info(std::string(names_.log) + ": replan committed at=" +
+                 std::to_string(now) +
+                 " planned_against=" + planned_against_.describe() +
+                 " next_allowed=" + std::to_string(backoff_.ready_at()));
+  return prior;
+}
+
+void ReplanProtocol::abort(arch::Cycles now) {
+  obs::trace_instant(names_.abort_event, "supervisor", now, 0);
+  backoff_.arm(now);
+  util::log_info(std::string(names_.log) + ": replan declined at=" +
+                 std::to_string(now) +
+                 " next_allowed=" + std::to_string(backoff_.ready_at()));
+}
+
+void ReplanProtocol::reset_belief(sim::FaultSpec planned) {
+  planned_against_ = std::move(planned);
+  pending_diag_ = planned_against_;
+  pending_count_ = 0;
+}
+
+ReplanProtocol::Snapshot ReplanProtocol::snapshot() const {
+  Snapshot s;
+  s.planned_against = planned_against_;
+  s.pending_diag = pending_diag_;
+  s.pending_count = pending_count_;
+  s.quiet_count = quiet_count_;
+  s.replans = replans_;
+  s.suppressed = suppressed_;
+  s.backoff = backoff_.snapshot();
+  return s;
+}
+
+void ReplanProtocol::restore(const Snapshot& snap) {
+  planned_against_ = snap.planned_against;
+  pending_diag_ = snap.pending_diag;
+  pending_count_ = snap.pending_count;
+  quiet_count_ = snap.quiet_count;
+  replans_ = snap.replans;
+  suppressed_ = snap.suppressed;
+  backoff_.restore(snap.backoff);
+}
+
+// ---------------------------------------------------------------------------
+// Supervisor
+
 Supervisor::Supervisor(DetectorConfig cfg, const arch::InterleaveSpec& interleave,
                        std::uint64_t seed)
-    : cfg_(cfg),
-      num_controllers_(interleave.num_controllers()),
-      backoff_(cfg.backoff, seed) {
-  cfg_.check().throw_if_failed();
-  if (num_controllers_ == 0)
+    : ReplanProtocol(cfg, seed,
+                     {"supervisor", "supervisor.commit", "supervisor.abort",
+                      "layout gain"}),
+      interleave_(interleave) {
+  cfg.check().throw_if_failed();
+  if (interleave_.num_controllers() == 0)
     throw std::invalid_argument("Supervisor: interleave has no controllers");
 }
 
 sim::FaultSpec Supervisor::diagnose(
     const std::vector<double>& mc_utilization) const {
-  if (mc_utilization.size() != num_controllers_)
+  const unsigned num_controllers = interleave_.num_controllers();
+  if (mc_utilization.size() != num_controllers)
     throw std::invalid_argument("Supervisor::diagnose: utilization size " +
                                 std::to_string(mc_utilization.size()) +
                                 " != controllers " +
-                                std::to_string(num_controllers_));
+                                std::to_string(num_controllers));
   sim::FaultSpec diag;
   const double peak =
       *std::max_element(mc_utilization.begin(), mc_utilization.end());
-  if (peak < cfg_.min_signal) return diag;  // idle: no signal, assume healthy
+  if (peak < kMinSignal) return diag;  // idle: no signal, assume healthy
 
-  for (unsigned c = 0; c < num_controllers_; ++c)
-    if (mc_utilization[c] < cfg_.offline_threshold * peak)
+  for (unsigned c = 0; c < num_controllers; ++c)
+    if (mc_utilization[c] < kOfflineThreshold * peak)
       diag.offline_controllers.push_back(c);
   // Never diagnose the whole chip dead: with all utilizations ~equal the
   // peak scaling above cannot flag anyone, so this only guards degenerate
   // threshold settings.
-  if (diag.offline_controllers.size() == num_controllers_)
+  if (diag.offline_controllers.size() == num_controllers)
     diag.offline_controllers.clear();
 
   // Derate detection against the median of the non-dead controllers: a slow
   // DIMM saturates while its peers wait on it.
   std::vector<double> alive;
-  for (unsigned c = 0; c < num_controllers_; ++c)
+  for (unsigned c = 0; c < num_controllers; ++c)
     if (!diag.is_offline(c)) alive.push_back(mc_utilization[c]);
   std::sort(alive.begin(), alive.end());
   const double median = alive[alive.size() / 2];
   if (median > 0.0) {
-    for (unsigned c = 0; c < num_controllers_; ++c) {
+    for (unsigned c = 0; c < num_controllers; ++c) {
       if (diag.is_offline(c)) continue;
-      if (mc_utilization[c] > cfg_.derate_threshold * median) {
+      if (mc_utilization[c] > kDerateThreshold * median) {
         // Busy-fraction ratio approximates the service slowdown.
         const double factor =
             std::clamp(median / mc_utilization[c], 0.05, 1.0);
@@ -153,15 +285,8 @@ sim::FaultSpec Supervisor::diagnose(
   return diag;
 }
 
-std::vector<unsigned> Supervisor::non_dead(const sim::FaultSpec& d) const {
-  std::vector<unsigned> set;
-  for (unsigned c = 0; c < num_controllers_; ++c)
-    if (!d.is_offline(c)) set.push_back(c);
-  return set;
-}
-
 Decision Supervisor::observe(const Sample& sample, double layout_gain) {
-  const ScopedEntry entry(entered_);
+  const auto entry = enter();
   // Span wraps the whole decision so the action instant below always has an
   // enclosing supervisor.observe parent in the exported trace.
   obs::TraceSpan span("supervisor.observe", "supervisor", sample.end,
@@ -187,8 +312,8 @@ Decision Supervisor::observe_impl(const Sample& sample, double layout_gain) {
 
   Decision dec;
   dec.at = sample.end;
-  dec.diagnosis = planned_against_;
-  dec.plan_set = non_dead(planned_against_);
+  dec.diagnosis = planned_against();
+  dec.plan_set = dec.diagnosis.surviving_controllers(interleave_);
 
   // Integrity outranks everything: corrupted payloads must be scrubbed
   // before any performance reasoning, and are never debounced or backed off.
@@ -207,83 +332,29 @@ Decision Supervisor::observe_impl(const Sample& sample, double layout_gain) {
                           ? 0.0
                           : *std::max_element(sample.mc_utilization.begin(),
                                               sample.mc_utilization.end());
-  if (sample.mc_utilization.size() != num_controllers_ ||
-      peak < cfg_.min_signal) {
+  if (sample.mc_utilization.size() != interleave_.num_controllers() ||
+      peak < kMinSignal) {
     dec.reason = "idle";
     return dec;
   }
 
-  // Debounce: the diagnosis must repeat stable_window times in a row.
-  const sim::FaultSpec diag = diagnose(sample.mc_utilization);
-  const std::string descr = diag.describe();
-  if (descr == pending_descr_) {
-    ++pending_count_;
-  } else {
-    pending_descr_ = descr;
-    pending_diag_ = diag;
-    pending_count_ = 1;
-  }
-  if (pending_count_ < cfg_.stable_window) {
-    dec.reason = "unstable diagnosis (" + descr + ", " +
-                 std::to_string(pending_count_) + "/" +
-                 std::to_string(cfg_.stable_window) + ")";
-    return dec;
-  }
-
-  const bool fault_changed = descr != planned_against_.describe();
-  const bool layout_deficit = layout_gain >= cfg_.replan_gain;
-  if (!fault_changed && !layout_deficit) {
-    dec.reason = "planned state current";
-    if (++quiet_count_ >= cfg_.quiet_reset && backoff_.retries() != 0) {
-      backoff_.reset();
-      util::log_info("supervisor: backoff reset after quiet stretch at=" +
-                     std::to_string(sample.end));
-    }
-    return dec;
-  }
-  quiet_count_ = 0;
-
-  dec.diagnosis = diag;
-  dec.plan_set = non_dead(diag);
-  const std::string why = fault_changed
-                              ? "fault state " + planned_against_.describe() +
-                                    " -> " + descr
-                              : "layout gain " + std::to_string(layout_gain);
-  if (backoff_.ready_in(sample.end) > 0) {
-    ++suppressed_;
-    dec.action = Action::kSuppressed;
-    dec.reason = why + "; suppressed by backoff until " +
-                 std::to_string(backoff_.ready_at());
-    util::log_info("supervisor: action=suppressed at=" +
-                   std::to_string(sample.end) + " set=" +
-                   set_to_string(dec.plan_set) + " reason=" + dec.reason);
-    return dec;
-  }
-
-  dec.action = Action::kReplan;
-  dec.reason = why;
-  util::log_info("supervisor: action=replan at=" + std::to_string(sample.end) +
-                 " set=" + set_to_string(dec.plan_set) + " reason=" + why);
+  dec.action = decide(diagnose(sample.mc_utilization), layout_gain,
+                      sample.end, dec.reason);
+  if (dec.action == Action::kKeep) return dec;
+  dec.diagnosis = pending();
+  dec.plan_set = dec.diagnosis.surviving_controllers(interleave_);
+  log_proposal(dec.action, sample.end, dec.plan_set, dec.reason);
   return dec;
 }
 
 void Supervisor::commit(arch::Cycles now) {
-  const ScopedEntry entry(entered_);
-  obs::trace_instant("supervisor.commit", "supervisor", now, replans_ + 1u);
-  planned_against_ = pending_diag_;
-  backoff_.arm(now);
-  ++replans_;
-  util::log_info("supervisor: replan committed at=" + std::to_string(now) +
-                 " planned_against=" + planned_against_.describe() +
-                 " next_allowed=" + std::to_string(backoff_.ready_at()));
+  const auto entry = enter();
+  (void)ReplanProtocol::commit(now);
 }
 
 void Supervisor::abort(arch::Cycles now) {
-  const ScopedEntry entry(entered_);
-  obs::trace_instant("supervisor.abort", "supervisor", now, 0);
-  backoff_.arm(now);
-  util::log_info("supervisor: replan declined at=" + std::to_string(now) +
-                 " next_allowed=" + std::to_string(backoff_.ready_at()));
+  const auto entry = enter();
+  ReplanProtocol::abort(now);
 }
 
 // ---------------------------------------------------------------------------
@@ -303,55 +374,31 @@ util::Status RecoveryConfig::check() const {
     status.note("RecoveryConfig: ramp_windows must be >= 1");
   if (!(ramp_initial > 0.0) || ramp_initial > 1.0)
     status.note("RecoveryConfig: ramp_initial outside (0, 1]");
-  if (probe_elements == 0)
-    status.note("RecoveryConfig: probe_elements must be >= 1");
-  if (probe_threads == 0)
-    status.note("RecoveryConfig: probe_threads must be >= 1");
-  if (!(probe_util_threshold > 0.0) || probe_util_threshold >= 1.0)
-    status.note("RecoveryConfig: probe_util_threshold outside (0, 1)");
   return status;
 }
 
 util::Status NodeDetectorConfig::check() const {
-  util::Status status;
+  util::Status status = DetectorConfig::check();
   status.merge(recovery.check());
-  if (stable_window == 0)
-    status.note("NodeDetectorConfig: stable_window must be >= 1");
-  if (!(offline_threshold > 0.0) || offline_threshold >= 1.0)
-    status.note("NodeDetectorConfig: offline_threshold outside (0, 1)");
-  if (!(link_saturation > 0.0) || link_saturation >= 1.0)
-    status.note("NodeDetectorConfig: link_saturation outside (0, 1)");
-  if (derate_threshold <= 1.0)
-    status.note("NodeDetectorConfig: derate_threshold must exceed 1");
-  if (min_signal < 0.0 || min_signal >= 1.0)
-    status.note("NodeDetectorConfig: min_signal outside [0, 1)");
-  if (replan_gain <= 1.0)
-    status.note("NodeDetectorConfig: replan_gain must exceed 1");
-  if (backoff.initial == 0)
-    status.note("NodeDetectorConfig: backoff.initial == 0");
-  if (backoff.multiplier < 1.0)
-    status.note("NodeDetectorConfig: backoff.multiplier < 1");
-  if (backoff.cap < backoff.initial)
-    status.note("NodeDetectorConfig: backoff.cap < backoff.initial");
-  if (backoff.jitter < 0.0 || backoff.jitter >= 1.0)
-    status.note("NodeDetectorConfig: backoff.jitter outside [0, 1)");
-  if (quiet_reset == 0)
-    status.note("NodeDetectorConfig: quiet_reset must be >= 1");
   return status;
 }
 
 NodeSupervisor::NodeSupervisor(NodeDetectorConfig cfg,
                                const arch::NodeTopology& node,
                                std::uint64_t seed)
-    : cfg_(cfg), node_(node), backoff_(cfg.backoff, seed) {
-  cfg_.check().throw_if_failed();
+    : ReplanProtocol(cfg, seed,
+                     {"nodesup", "nodesup.commit", "nodesup.abort",
+                      "placement gain"}),
+      recovery_(cfg.recovery),
+      node_(node) {
+  cfg.check().throw_if_failed();
   node_.validate();
   if (node_.single_socket())
     throw std::invalid_argument(
         "NodeSupervisor: single-socket topology has no socket fault domains");
   gates_.reserve(node_.num_sockets);
   for (unsigned s = 0; s < node_.num_sockets; ++s)
-    gates_.emplace_back(cfg_.recovery.probe_backoff, /*trip_threshold=*/1,
+    gates_.emplace_back(recovery_.probe_backoff, /*trip_threshold=*/1,
                         seed ^ ((s + 1) * 0x9e3779b97f4a7c15ULL));
   ramp_left_.assign(node_.num_sockets, 0);
   ramp_factor_.assign(node_.num_sockets, 1.0);
@@ -386,12 +433,11 @@ sim::FaultSpec NodeSupervisor::diagnose(const NodeSample& sample,
     double outbound = 0.0;
     for (unsigned t = 0; t < n; ++t)
       outbound = std::max(outbound, link_util(s, t));
-    if (util < cfg_.offline_threshold * peak &&
-        outbound > cfg_.link_saturation) {
+    if (util < kOfflineThreshold * peak && outbound > kLinkSaturation) {
       // The dead-memory signature: local controllers idle while the socket
       // limps over the interconnect.
       diag.offline_sockets.push_back(s);
-    } else if (util < cfg_.min_signal && outbound < cfg_.min_signal) {
+    } else if (util < kMinSignal && outbound < kMinSignal) {
       // No evidence either way: carry the prior belief forward (a migrated-
       // away socket goes silent and must not flap back to healthy).
       if (prior.is_socket_offline(s)) diag.offline_sockets.push_back(s);
@@ -409,7 +455,7 @@ sim::FaultSpec NodeSupervisor::diagnose(const NodeSample& sample,
       const double observed = std::max(link_cost(s, t), link_cost(t, s));
       if (healthy <= 0.0 || observed <= 0.0) continue;
       if (diag.is_socket_offline(s) || diag.is_socket_offline(t)) continue;
-      if (observed > cfg_.derate_threshold * healthy) {
+      if (observed > kDerateThreshold * healthy) {
         const double factor = std::clamp(healthy / observed, 0.05, 1.0);
         diag.link_faults.push_back({s, t, factor, false});
       }
@@ -418,30 +464,25 @@ sim::FaultSpec NodeSupervisor::diagnose(const NodeSample& sample,
   return diag;
 }
 
-std::vector<unsigned> NodeSupervisor::non_dead(const sim::FaultSpec& d) const {
-  std::vector<unsigned> set;
-  for (unsigned s = 0; s < node_.num_sockets; ++s)
-    if (!d.is_socket_offline(s)) set.push_back(s);
-  return set;
-}
-
 NodeDecision NodeSupervisor::observe(const NodeSample& sample,
                                      double layout_gain) {
+  const auto entry = enter();
   if (!(layout_gain > 0.0) || !std::isfinite(layout_gain))
     throw std::invalid_argument("NodeSupervisor::observe: bad layout_gain");
   obs::TraceSpan span("nodesup.observe", "supervisor", sample.end, 0);
 
+  const sim::FaultSpec& planned = planned_against();
   NodeDecision dec;
   dec.at = sample.end;
-  dec.diagnosis = planned_against_;
-  dec.healthy_sockets = non_dead(planned_against_);
+  dec.diagnosis = planned;
+  dec.healthy_sockets = planned.surviving_sockets(node_.num_sockets);
 
   // Probe channel: a kKeep window is an opportunity to canary a quarantined
   // socket whose breaker hold has expired. Probes ride the otherwise-idle
   // decision slots so they never preempt a replan.
   const auto finish_keep = [&](NodeDecision d) -> NodeDecision {
-    if (!cfg_.recovery.enabled || d.action != Action::kKeep) return d;
-    for (const unsigned s : planned_against_.offline_sockets) {
+    if (!recovery_.enabled || d.action != Action::kKeep) return d;
+    for (const unsigned s : planned.offline_sockets) {
       if (!gates_[s].allow(sample.end)) continue;
       ++probes_;
       SupMetrics::get().probes.inc();
@@ -466,87 +507,41 @@ NodeDecision NodeSupervisor::observe(const NodeSample& sample,
   for (const auto& row : sample.link_utilization)
     for (const double u : row) busiest_link = std::max(busiest_link, u);
   if (sample.socket_utilization.size() != node_.num_sockets ||
-      (peak < cfg_.min_signal && busiest_link < cfg_.min_signal)) {
+      (peak < kMinSignal && busiest_link < kMinSignal)) {
     dec.reason = "idle";
-    advance_ramps(planned_against_, sample.end);
+    advance_ramps(planned, sample.end);
     return finish_keep(dec);
   }
 
-  const sim::FaultSpec diag = diagnose(sample, planned_against_);
+  const sim::FaultSpec diag = diagnose(sample, planned);
   advance_ramps(diag, sample.end);
-  const std::string descr = diag.describe();
-  if (descr == pending_descr_) {
-    ++pending_count_;
-  } else {
-    pending_descr_ = descr;
-    pending_diag_ = diag;
-    pending_count_ = 1;
-  }
-  if (pending_count_ < cfg_.stable_window) {
-    dec.reason = "unstable diagnosis (" + descr + ", " +
-                 std::to_string(pending_count_) + "/" +
-                 std::to_string(cfg_.stable_window) + ")";
-    return finish_keep(dec);
-  }
-
-  const bool fault_changed = descr != planned_against_.describe();
-  const bool layout_deficit = layout_gain >= cfg_.replan_gain;
-  if (!fault_changed && !layout_deficit) {
-    dec.reason = "planned state current";
-    if (++quiet_count_ >= cfg_.quiet_reset && backoff_.retries() != 0) {
-      backoff_.reset();
-      util::log_info("nodesup: backoff reset after quiet stretch at=" +
-                     std::to_string(sample.end));
-    }
-    return finish_keep(dec);
-  }
-  quiet_count_ = 0;
+  dec.action = decide(diag, layout_gain, sample.end, dec.reason);
+  if (dec.action == Action::kKeep) return finish_keep(dec);
 
   // sock.*/link.* instants mark newly suspected fault domains on the trace
   // timeline, replan or not.
-  for (const unsigned s : diag.offline_sockets)
-    if (!planned_against_.is_socket_offline(s))
+  const sim::FaultSpec& proposed = pending();
+  for (const unsigned s : proposed.offline_sockets)
+    if (!planned.is_socket_offline(s))
       obs::trace_instant("sock.offline.suspect", "numa", sample.end, s);
-  for (const auto& lf : diag.link_faults)
-    if (planned_against_.link_derate_of(lf.a, lf.b) == 1.0)
+  for (const auto& lf : proposed.link_faults)
+    if (planned.link_derate_of(lf.a, lf.b) == 1.0)
       obs::trace_instant("link.degraded.suspect", "numa", sample.end,
                          lf.a * arch::NodeTopology::kMaxSockets + lf.b);
 
-  dec.diagnosis = diag;
-  dec.healthy_sockets = non_dead(diag);
-  const std::string why = fault_changed
-                              ? "fault state " + planned_against_.describe() +
-                                    " -> " + descr
-                              : "placement gain " + std::to_string(layout_gain);
-  if (backoff_.ready_in(sample.end) > 0) {
-    ++suppressed_;
-    dec.action = Action::kSuppressed;
-    dec.reason = why + "; suppressed by backoff until " +
-                 std::to_string(backoff_.ready_at());
-    util::log_info("nodesup: action=suppressed at=" +
-                   std::to_string(sample.end) + " set=" +
-                   set_to_string(dec.healthy_sockets) + " reason=" + dec.reason);
-    return dec;
-  }
-
-  dec.action = Action::kReplan;
-  dec.reason = why;
-  util::log_info("nodesup: action=replan at=" + std::to_string(sample.end) +
-                 " set=" + set_to_string(dec.healthy_sockets) +
-                 " reason=" + why);
+  dec.diagnosis = proposed;
+  dec.healthy_sockets = proposed.surviving_sockets(node_.num_sockets);
+  log_proposal(dec.action, sample.end, dec.healthy_sockets, dec.reason);
   return dec;
 }
 
 void NodeSupervisor::commit(arch::Cycles now) {
-  obs::trace_instant("nodesup.commit", "supervisor", now, replans_ + 1u);
-  const sim::FaultSpec prior = planned_against_;
-  planned_against_ = pending_diag_;
-  backoff_.arm(now);
-  ++replans_;
+  const auto entry = enter();
+  const sim::FaultSpec prior = ReplanProtocol::commit(now);
   // Trip the probe breaker of every newly quarantined socket; a socket that
   // relapsed mid-ramp reopens with the escalated hold (its breaker was
   // closed without forgiveness at probe time).
-  for (const unsigned s : planned_against_.offline_sockets) {
+  for (const unsigned s : planned_against().offline_sockets) {
     if (prior.is_socket_offline(s)) continue;
     if (ramp_left_[s] != 0) {
       ramp_left_[s] = 0;
@@ -557,27 +552,23 @@ void NodeSupervisor::commit(arch::Cycles now) {
     }
     gates_[s].record_failure(now);
   }
-  util::log_info("nodesup: replan committed at=" + std::to_string(now) +
-                 " planned_against=" + planned_against_.describe() +
-                 " next_allowed=" + std::to_string(backoff_.ready_at()));
 }
 
 void NodeSupervisor::abort(arch::Cycles now) {
-  obs::trace_instant("nodesup.abort", "supervisor", now, 0);
-  backoff_.arm(now);
-  util::log_info("nodesup: replan declined at=" + std::to_string(now) +
-                 " next_allowed=" + std::to_string(backoff_.ready_at()));
+  const auto entry = enter();
+  ReplanProtocol::abort(now);
 }
 
 bool NodeSupervisor::report_probe(unsigned socket, const NodeSample& probe,
                                   arch::Cycles now) {
+  const auto entry = enter();
   if (socket >= node_.num_sockets)
     throw std::invalid_argument("NodeSupervisor::report_probe: socket " +
                                 std::to_string(socket) + " out of range");
   const double util = socket < probe.socket_utilization.size()
                           ? probe.socket_utilization[socket]
                           : 0.0;
-  const bool alive = util > cfg_.recovery.probe_util_threshold;
+  const bool alive = util > kProbeUtilThreshold;
   if (!alive) {
     ++probe_failures_;
     gates_[socket].record_failure(now);  // half-open -> reopen, escalated
@@ -596,27 +587,26 @@ bool NodeSupervisor::report_probe(unsigned socket, const NodeSample& probe,
   ++recoveries_;
   SupMetrics::get().recoveries.inc();
   gates_[socket].record_success(/*forgive=*/false);
-  auto& off = planned_against_.offline_sockets;
+  sim::FaultSpec readmitted = planned_against();
+  auto& off = readmitted.offline_sockets;
   off.erase(std::remove(off.begin(), off.end(), socket), off.end());
-  ramp_left_[socket] = cfg_.recovery.ramp_windows;
-  ramp_factor_[socket] = cfg_.recovery.ramp_initial;
+  ramp_left_[socket] = recovery_.ramp_windows;
+  ramp_factor_[socket] = recovery_.ramp_initial;
   // Drop the stale debounce state: a pending dead diagnosis predating the
   // probe must not be committed over the fresh evidence.
-  pending_descr_.clear();
-  pending_diag_ = planned_against_;
-  pending_count_ = 0;
+  reset_belief(std::move(readmitted));
   obs::trace_instant("supervisor.probe.success", "supervisor", now, socket);
   obs::trace_instant("supervisor.readmit.begin", "supervisor", now, socket);
   util::log_info("nodesup: probe confirmed recovery socket=" +
                  std::to_string(socket) + " at=" + std::to_string(now) +
                  " util=" + std::to_string(util) + " ramp_windows=" +
-                 std::to_string(cfg_.recovery.ramp_windows) + " ramp_start=" +
-                 std::to_string(cfg_.recovery.ramp_initial));
+                 std::to_string(recovery_.ramp_windows) + " ramp_start=" +
+                 std::to_string(recovery_.ramp_initial));
   return true;
 }
 
 sim::FaultSpec NodeSupervisor::belief() const {
-  sim::FaultSpec b = planned_against_;
+  sim::FaultSpec b = planned_against();
   for (unsigned s = 0; s < node_.num_sockets; ++s)
     if (ramp_left_[s] != 0) b.socket_derates.push_back({s, ramp_factor_[s]});
   return b;
@@ -627,8 +617,8 @@ void NodeSupervisor::advance_ramps(const sim::FaultSpec& diag,
   for (unsigned s = 0; s < node_.num_sockets; ++s) {
     if (ramp_left_[s] == 0) continue;
     if (diag.is_socket_offline(s)) continue;  // relapse pending; commit aborts
-    const double step = (1.0 - cfg_.recovery.ramp_initial) /
-                        static_cast<double>(cfg_.recovery.ramp_windows);
+    const double step = (1.0 - recovery_.ramp_initial) /
+                        static_cast<double>(recovery_.ramp_windows);
     ramp_factor_[s] = std::min(1.0, ramp_factor_[s] + step);
     if (--ramp_left_[s] != 0) continue;
     ramp_factor_[s] = 1.0;
@@ -642,14 +632,7 @@ void NodeSupervisor::advance_ramps(const sim::FaultSpec& diag,
 
 NodeSupervisor::Snapshot NodeSupervisor::snapshot() const {
   Snapshot s;
-  s.planned_against = planned_against_;
-  s.pending_diag = pending_diag_;
-  s.pending_descr = pending_descr_;
-  s.pending_count = pending_count_;
-  s.quiet_count = quiet_count_;
-  s.replans = replans_;
-  s.suppressed = suppressed_;
-  s.backoff = backoff_.snapshot();
+  static_cast<ReplanProtocol::Snapshot&>(s) = ReplanProtocol::snapshot();
   s.gates.reserve(gates_.size());
   for (const util::CircuitBreaker& g : gates_) s.gates.push_back(g.snapshot());
   s.ramp_left = ramp_left_;
@@ -669,14 +652,8 @@ util::Status NodeSupervisor::restore(const Snapshot& snap) {
         "NodeSupervisor: snapshot covers " +
         std::to_string(snap.gates.size()) + " sockets, topology has " +
         std::to_string(gates_.size()));
-  planned_against_ = snap.planned_against;
-  pending_diag_ = snap.pending_diag;
-  pending_descr_ = snap.pending_descr;
-  pending_count_ = snap.pending_count;
-  quiet_count_ = snap.quiet_count;
-  replans_ = snap.replans;
-  suppressed_ = snap.suppressed;
-  backoff_.restore(snap.backoff);
+  const auto entry = enter();
+  ReplanProtocol::restore(snap);
   for (std::size_t i = 0; i < gates_.size(); ++i)
     gates_[i].restore(snap.gates[i]);
   ramp_left_ = snap.ramp_left;

@@ -35,12 +35,13 @@
 // samples produced on workers are NOT allowed to call observe() directly —
 // they go through the executor's ingestion queue and are drained by its
 // control step, which serializes the calls. The contract is enforced, not
-// just documented: concurrent or re-entrant entry throws std::logic_error
-// ("feed samples through the executor's ingestion queue") before any state
-// is touched, and tests/runtime/test_executor.cpp exercises the path under
-// ThreadSanitizer.
+// just documented, for NodeSupervisor too: concurrent or re-entrant entry
+// throws std::logic_error before any state is touched, and
+// tests/runtime/test_executor.cpp and test_numa_loop.cpp exercise the path
+// under ThreadSanitizer.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -53,25 +54,34 @@
 
 namespace mcopt::runtime {
 
-/// Detector thresholds. Defaults are calibrated for the triad/Jacobi
-/// supervised loops (slice-grained samples, 4 controllers).
+/// Detector thresholds, calibrated for slice-grained samples (4 controllers
+/// per chip, DESIGN.md §4e). No caller tunes them.
+///
+/// A controller (socket) whose utilization sits below this fraction of the
+/// busiest one's is diagnosed dead.
+inline constexpr double kOfflineThreshold = 0.12;
+/// A controller whose utilization exceeds this multiple of the median of
+/// the live ones is diagnosed derated (a slow DIMM saturates while its
+/// peers idle); a link whose observed per-line cost exceeds this multiple of
+/// the topology's healthy cost likewise.
+inline constexpr double kDerateThreshold = 1.6;
+/// Samples whose busiest controller (socket, link) sits below this carry
+/// no diagnostic signal: the machine is idle.
+inline constexpr double kMinSignal = 0.02;
+/// Layout replans with an unchanged diagnosis trigger only when the
+/// caller's candidate/current bandwidth estimate reaches this.
+inline constexpr double kReplanGain = 1.15;
+/// A socket is dead only while its busiest outbound link also exceeds this
+/// busy fraction (an idle socket is not a dead one).
+inline constexpr double kLinkSaturation = 0.5;
+
+/// Protocol settings both supervisors share (the detector thresholds are
+/// the constants above).
 struct DetectorConfig {
   /// A diagnosis must repeat over this many consecutive samples before the
   /// supervisor acts on it (debounces boundary slices that straddle a fault
   /// transition).
   unsigned stable_window = 2;
-  /// Dead detection: utilization below this fraction of the busiest
-  /// controller's.
-  double offline_threshold = 0.12;
-  /// Derate detection: utilization above this multiple of the median of the
-  /// non-dead controllers (a slow DIMM saturates while its peers idle).
-  double derate_threshold = 1.6;
-  /// Samples whose busiest controller sits below this are ignored (the
-  /// machine is idle; utilization carries no diagnostic signal).
-  double min_signal = 0.02;
-  /// Layout replans (fault state unchanged, current layout analytically
-  /// inferior) trigger only when candidate/current bandwidth exceeds this.
-  double replan_gain = 1.15;
   /// Replan backoff, in simulated cycles.
   util::BackoffConfig backoff{.initial = 50000, .multiplier = 2.0,
                               .cap = 3200000, .jitter = 0.1};
@@ -119,7 +129,110 @@ struct Decision {
 /// spelling. Returns a string literal (the trace recorder stores pointers).
 [[nodiscard]] const char* action_event_name(Action a) noexcept;
 
-class Supervisor {
+/// The replan protocol both supervisors run over their detector's
+/// diagnoses. A diagnosis counts once it repeats stable_window times in a
+/// row; a counted diagnosis that differs from the planned-against fault
+/// state, or a layout_gain of at least kReplanGain, proposes a replan unless
+/// the backoff window is still open; quiet_reset quiet samples in a row
+/// reset the backoff. Diagnoses are compared as fault sets: the same dead
+/// and derated domains, every factor equal to within 1e-9 relative, because
+/// successive samples of one derate diagnose factors a few ULP apart. The
+/// owner's loop then commit()s or abort()s the proposal. Each supervisor
+/// derives from it and adds only its detector.
+///
+/// Single consumer: the owner holds enter() across every call that mutates
+/// this state; concurrent or re-entrant entry throws std::logic_error before
+/// any state is touched.
+class ReplanProtocol {
+ protected:
+  /// Spellings of the owner's log lines, trace events and replan reasons.
+  struct Names {
+    const char* log;           ///< log-line prefix
+    const char* commit_event;  ///< trace instant of commit()
+    const char* abort_event;   ///< trace instant of abort()
+    const char* gain;          ///< reason label of a layout-gain replan
+  };
+
+  /// `seed` feeds the backoff jitter; equal seeds replay exactly.
+  ReplanProtocol(const DetectorConfig& cfg, std::uint64_t seed, Names names);
+
+  /// RAII single-consumer guard. The acquire/release flag also publishes
+  /// the state between properly serialized alternating callers.
+  class Entry {
+   public:
+    explicit Entry(std::atomic_flag& flag);
+    ~Entry();
+    Entry(const Entry&) = delete;
+    Entry& operator=(const Entry&) = delete;
+
+   private:
+    std::atomic_flag& flag_;
+  };
+  [[nodiscard]] Entry enter();
+
+  /// One debounce step over a fresh diagnosis: kKeep while it is unstable or
+  /// matches the planned-against state with no layout deficit, else kReplan,
+  /// or kSuppressed inside the backoff window. Writes the decision's reason.
+  /// The proposed state is pending(), the first diagnosis of the stable run.
+  [[nodiscard]] Action decide(const sim::FaultSpec& diag, double layout_gain,
+                              arch::Cycles now, std::string& reason);
+  /// Logs a kReplan or kSuppressed decision over the proposed domain set.
+  void log_proposal(Action action, arch::Cycles now,
+                    const std::vector<unsigned>& set,
+                    const std::string& reason) const;
+
+  /// The loop acted on the last kReplan: pending() becomes planned-against
+  /// and the backoff arms. Returns the previous planned-against state.
+  sim::FaultSpec commit(arch::Cycles now);
+  /// The loop declined the last kReplan: arms the backoff so the proposal
+  /// is not re-made every sample, keeping the planned-against state.
+  void abort(arch::Cycles now);
+  /// Fresh evidence outside the debounce (a confirmed probe) replaces the
+  /// planned-against state and drops the pending diagnosis, which predates
+  /// it.
+  void reset_belief(sim::FaultSpec planned);
+
+  [[nodiscard]] const sim::FaultSpec& planned_against() const noexcept {
+    return planned_against_;
+  }
+  [[nodiscard]] const sim::FaultSpec& pending() const noexcept {
+    return pending_diag_;
+  }
+  [[nodiscard]] unsigned replans() const noexcept { return replans_; }
+  [[nodiscard]] unsigned suppressed() const noexcept { return suppressed_; }
+  [[nodiscard]] const util::Backoff& backoff() const noexcept {
+    return backoff_;
+  }
+
+  /// Complete protocol state, for durable snapshots.
+  struct Snapshot {
+    sim::FaultSpec planned_against;
+    sim::FaultSpec pending_diag;
+    unsigned pending_count = 0;
+    unsigned quiet_count = 0;
+    unsigned replans = 0;
+    unsigned suppressed = 0;
+    util::Backoff::Snapshot backoff;
+  };
+  [[nodiscard]] Snapshot snapshot() const;
+  void restore(const Snapshot& snap);
+
+ private:
+  unsigned stable_window_;
+  unsigned quiet_reset_;
+  Names names_;
+  util::Backoff backoff_;
+
+  sim::FaultSpec planned_against_{};  // healthy at start
+  sim::FaultSpec pending_diag_{};     // meaningful while pending_count_ > 0
+  unsigned pending_count_ = 0;
+  unsigned quiet_count_ = 0;
+  unsigned replans_ = 0;
+  unsigned suppressed_ = 0;
+  std::atomic_flag entered_ = ATOMIC_FLAG_INIT;
+};
+
+class Supervisor : private ReplanProtocol {
  public:
   /// `seed` feeds the backoff jitter; equal seeds replay exactly.
   Supervisor(DetectorConfig cfg, const arch::InterleaveSpec& interleave,
@@ -147,15 +260,13 @@ class Supervisor {
   /// keeps the planned-against state (conditions may still change).
   void abort(arch::Cycles now);
 
-  /// Fault state the current layout was planned against.
-  [[nodiscard]] const sim::FaultSpec& planned_against() const noexcept {
-    return planned_against_;
-  }
-  /// Committed replans / backoff-suppressed proposals / scrub orders so far.
-  [[nodiscard]] unsigned replans() const noexcept { return replans_; }
-  [[nodiscard]] unsigned suppressed() const noexcept { return suppressed_; }
+  /// Fault state the current layout was planned against; committed
+  /// replans / backoff-suppressed proposals / scrub orders so far.
+  using ReplanProtocol::planned_against;
+  using ReplanProtocol::replans;
+  using ReplanProtocol::suppressed;
   [[nodiscard]] unsigned scrubs() const noexcept { return scrubs_; }
-  [[nodiscard]] const util::Backoff& backoff() const noexcept { return backoff_; }
+  using ReplanProtocol::backoff;
 
   /// Pure detector: classifies one utilization vector into a FaultSpec
   /// (exposed for tests).
@@ -163,39 +274,11 @@ class Supervisor {
       const std::vector<double>& mc_utilization) const;
 
  private:
-  [[nodiscard]] std::vector<unsigned> non_dead(const sim::FaultSpec& d) const;
-
   /// observe() body; the public wrapper adds the single-consumer guard plus
   /// the "supervisor.observe" trace span enclosing the decision instant.
   [[nodiscard]] Decision observe_impl(const Sample& sample, double layout_gain);
 
-  /// RAII guard enforcing the single-consumer contract: throws
-  /// std::logic_error when a second thread (or a re-entrant call) enters a
-  /// mutating member while one is in flight. The acquire/release flag also
-  /// publishes the state between properly serialized alternating callers.
-  class ScopedEntry {
-   public:
-    explicit ScopedEntry(std::atomic_flag& flag);
-    ~ScopedEntry();
-    ScopedEntry(const ScopedEntry&) = delete;
-    ScopedEntry& operator=(const ScopedEntry&) = delete;
-
-   private:
-    std::atomic_flag& flag_;
-  };
-
-  DetectorConfig cfg_;
-  unsigned num_controllers_;
-  util::Backoff backoff_;
-
-  sim::FaultSpec planned_against_{};  // healthy at start
-  sim::FaultSpec pending_diag_{};
-  std::string pending_descr_;
-  unsigned pending_count_ = 0;
-  unsigned quiet_count_ = 0;
-  std::atomic_flag entered_ = ATOMIC_FLAG_INIT;
-  unsigned replans_ = 0;
-  unsigned suppressed_ = 0;
+  arch::InterleaveSpec interleave_;
   unsigned scrubs_ = 0;
 };
 
@@ -246,45 +329,24 @@ struct RecoveryConfig {
   /// ramp_windows; the hysteresis half of the ramp — a relapse during the
   /// ramp re-quarantines with escalated hold).
   double ramp_initial = 0.5;
-  /// Canary probe job size (triad elements) and strands. Small on purpose:
-  /// the probe is charged cycles like a scrub, so it must cost a fraction of
-  /// a slice.
-  std::size_t probe_elements = 4096;
-  unsigned probe_threads = 4;
-  /// Probe verdict threshold: the probed socket's mean controller
-  /// utilization must exceed this for the domain to count as serving again.
-  /// A still-dead domain remaps every canary line to survivors, so it reads
-  /// exactly 0; a recovered domain serves the (latency-bound) canary locally
-  /// at a few percent — the threshold sits between, not near 50%.
-  double probe_util_threshold = 0.01;
 
   [[nodiscard]] util::Status check() const;
 };
 
-/// Node detector thresholds. Defaults calibrated for slice-grained samples
-/// from sim::Node runs.
-struct NodeDetectorConfig {
-  /// Consecutive identical diagnoses required before acting.
-  unsigned stable_window = 2;
-  /// Dead-socket detection: socket utilization below this fraction of the
-  /// busiest socket's...
-  double offline_threshold = 0.12;
-  /// ...while its busiest outbound link exceeds this busy fraction.
-  double link_saturation = 0.5;
-  /// Link-derate detection: observed per-line cost above this multiple of
-  /// the topology's healthy cost.
-  double derate_threshold = 1.6;
-  /// Samples whose busiest socket sits below this carry no signal.
-  double min_signal = 0.02;
-  /// Placement replans (diagnosis unchanged) trigger only when
-  /// candidate/current bandwidth exceeds this.
-  double replan_gain = 1.15;
-  /// Replan backoff, in simulated cycles.
-  util::BackoffConfig backoff{.initial = 50000, .multiplier = 2.0,
-                              .cap = 3200000, .jitter = 0.1};
-  /// Consecutive no-action samples after which the backoff resets.
-  unsigned quiet_reset = 4;
-  /// Fail-back probing and staged re-admission.
+/// Canary probe job size (triad elements) and strands. Small on purpose: the
+/// probe is charged cycles like a scrub, so it must cost a fraction of a
+/// slice.
+inline constexpr std::size_t kProbeElements = 4096;
+inline constexpr unsigned kProbeThreads = 4;
+/// Probe verdict threshold: the probed socket's mean controller utilization
+/// must exceed this for the domain to count as serving again. A still-dead
+/// domain remaps every canary line to survivors, so it reads exactly 0; a
+/// recovered domain serves the (latency-bound) canary locally at a few
+/// percent — the threshold sits between, not near 50%.
+inline constexpr double kProbeUtilThreshold = 0.01;
+
+/// Node supervisor settings: the shared protocol's plus fail-back probing.
+struct NodeDetectorConfig : DetectorConfig {
   RecoveryConfig recovery{};
 
   /// Non-throwing validation; reports every violation at once.
@@ -318,11 +380,11 @@ struct NodeDecision {
   arch::Cycles at = 0;
 };
 
-/// Socket/link-domain supervisor: same propose/commit/abort protocol and
-/// debounce+backoff discipline as Supervisor, over NodeSample evidence.
-/// Single consumer, not internally synchronized (the node loop is the only
-/// caller; cross-thread use needs external serialization).
-class NodeSupervisor {
+/// Socket/link-domain supervisor: the same ReplanProtocol as Supervisor,
+/// over NodeSample evidence, plus the fail-back prober. Single consumer,
+/// enforced like Supervisor's: concurrent or re-entrant calls to observe,
+/// commit, abort or report_probe throw std::logic_error.
+class NodeSupervisor : private ReplanProtocol {
  public:
   NodeSupervisor(NodeDetectorConfig cfg, const arch::NodeTopology& node,
                  std::uint64_t seed = 0);
@@ -345,16 +407,14 @@ class NodeSupervisor {
   /// false the breaker reopens with a geometrically longer hold.
   bool report_probe(unsigned socket, const NodeSample& probe, arch::Cycles now);
 
-  [[nodiscard]] const sim::FaultSpec& planned_against() const noexcept {
-    return planned_against_;
-  }
+  using ReplanProtocol::planned_against;
   /// Effective fault belief for pricing and placement: planned_against()
   /// plus the staged re-admission derate of each ramping socket. This is
   /// what the loop's analytic gates must price against — a just-readmitted
   /// socket is believed alive but not yet at full weight.
   [[nodiscard]] sim::FaultSpec belief() const;
-  [[nodiscard]] unsigned replans() const noexcept { return replans_; }
-  [[nodiscard]] unsigned suppressed() const noexcept { return suppressed_; }
+  using ReplanProtocol::replans;
+  using ReplanProtocol::suppressed;
   /// Probes launched / probes that came back dead / probe-confirmed
   /// recoveries / ramps completed to full weight.
   [[nodiscard]] unsigned probes() const noexcept { return probes_; }
@@ -363,9 +423,7 @@ class NodeSupervisor {
   }
   [[nodiscard]] unsigned recoveries() const noexcept { return recoveries_; }
   [[nodiscard]] unsigned readmissions() const noexcept { return readmissions_; }
-  [[nodiscard]] const util::Backoff& backoff() const noexcept {
-    return backoff_;
-  }
+  using ReplanProtocol::backoff;
   /// Per-socket probe breaker (exposed for tests: half-open semantics and
   /// reopen escalation at socket granularity).
   [[nodiscard]] const util::CircuitBreaker& probe_gate(unsigned socket) const {
@@ -384,15 +442,7 @@ class NodeSupervisor {
   /// constructed with the same config/topology/seed and continues the
   /// probe-and-ramp schedule instead of relearning socket health from
   /// scratch.
-  struct Snapshot {
-    sim::FaultSpec planned_against;
-    sim::FaultSpec pending_diag;
-    std::string pending_descr;
-    unsigned pending_count = 0;
-    unsigned quiet_count = 0;
-    unsigned replans = 0;
-    unsigned suppressed = 0;
-    util::Backoff::Snapshot backoff;
+  struct Snapshot : ReplanProtocol::Snapshot {
     std::vector<util::CircuitBreaker::Snapshot> gates;
     std::vector<unsigned> ramp_left;
     std::vector<double> ramp_factor;
@@ -408,22 +458,12 @@ class NodeSupervisor {
   [[nodiscard]] util::Status restore(const Snapshot& snap);
 
  private:
-  [[nodiscard]] std::vector<unsigned> non_dead(const sim::FaultSpec& d) const;
   /// Steps every active re-admission ramp one window (unless `diag` flags
   /// the socket dead again) and completes ramps that reach full weight.
   void advance_ramps(const sim::FaultSpec& diag, arch::Cycles now);
 
-  NodeDetectorConfig cfg_;
+  RecoveryConfig recovery_;
   arch::NodeTopology node_;
-  util::Backoff backoff_;
-
-  sim::FaultSpec planned_against_{};
-  sim::FaultSpec pending_diag_{};
-  std::string pending_descr_;
-  unsigned pending_count_ = 0;
-  unsigned quiet_count_ = 0;
-  unsigned replans_ = 0;
-  unsigned suppressed_ = 0;
 
   /// Recovery state: one probe breaker per socket, plus the ramp position of
   /// each readmitted socket (0 = not ramping).

@@ -26,6 +26,7 @@
 #include "runtime/durable/state.h"
 #include "runtime/supervisor.h"
 #include "util/backoff.h"
+#include "util/crc.h"
 #include "util/prng.h"
 
 namespace mcopt::runtime::durable {
@@ -597,6 +598,56 @@ TEST_F(DurableServiceTest, NodeSupervisorBeliefsSurviveRestart) {
   ASSERT_TRUE(h.value()->attach_node_supervisor(&fresh).ok());
   EXPECT_TRUE(fresh.planned_against().is_socket_offline(1));
   EXPECT_EQ(fresh.replans(), 1u);
+}
+
+/// A node-supervisor snapshot with every field away from its default, for
+/// pinning the state-image bytes.
+NodeSupervisor::Snapshot pinned_node_snapshot() {
+  NodeSupervisor::Snapshot s;
+  s.planned_against = sim::FaultSpec::parse("sock1:off").value();
+  s.pending_diag =
+      sim::FaultSpec::parse("sock1:off,link0-1:derate=0.375").value();
+  s.pending_count = 3;
+  s.quiet_count = 1;
+  s.replans = 2;
+  s.suppressed = 5;
+  s.backoff = {1.5, 2, 424242, {1, 2, 3, 4}};
+  util::CircuitBreaker::Snapshot open_gate;
+  open_gate.backoff = {0.1 + 0.2, 1, 99, {5, 6, 7, 8}};
+  open_gate.consecutive_failures = 1;
+  open_gate.state = 2;
+  s.gates = {util::CircuitBreaker::Snapshot{}, open_gate};
+  s.ramp_left = {0, 2};
+  s.ramp_factor = {1.0, 0.5};
+  s.probes = 4;
+  s.probe_failures = 1;
+  s.recoveries = 1;
+  return s;
+}
+
+TEST_F(DurableServiceTest, NodeSupervisorSnapshotEncodesToPinnedBytes) {
+  // Image v2's node-supervisor section, byte for byte: it still carries the
+  // pending diagnosis's describe() string, which the writer now derives
+  // from the diagnosis and the reader skips.
+  StateImage im;
+  im.has_node_supervisor = true;
+  im.node_supervisor = pinned_node_snapshot();
+  const std::string p = subdir("pinned.mcpt");
+  ASSERT_TRUE(save_state(p, im).ok());
+  const auto ckpt = load_checkpoint(p);
+  ASSERT_TRUE(ckpt.has_value()) << ckpt.error().message;
+  ASSERT_EQ(ckpt.value().sections.size(), 3u);
+  const std::vector<std::uint8_t>& section = ckpt.value().sections[2];
+  EXPECT_EQ(section.size(), 358u);
+  EXPECT_EQ(util::crc32c(section.data(), section.size()), 0x7d66f510u);
+
+  const auto back = load_state(p);
+  ASSERT_TRUE(back.has_value()) << back.error().message;
+  const NodeSupervisor::Snapshot& got = back.value().node_supervisor;
+  EXPECT_EQ(got.pending_diag.describe(), "sock1:off link0-1:derate=0.375");
+  EXPECT_EQ(got.pending_count, 3u);
+  EXPECT_EQ(got.gates[1].backoff.current, 0.1 + 0.2);  // bit-exact
+  EXPECT_EQ(got.ramp_left, (std::vector<unsigned>{0, 2}));
 }
 
 // --- state image primitives ------------------------------------------------

@@ -292,6 +292,33 @@ TEST(Executor, MidStormOutageDegradesCapacityAndBreakerOutlivesDiagnosis) {
   expect_conserved(ex);
 }
 
+TEST(Executor, MixedKindsSettleOnOneDerateDiagnosis) {
+  // Triad and Jacobi jobs see one derated controller through different
+  // streams, so their samples diagnose factors that differ in the last
+  // bits. They are one fault state: the executor prices the derate after
+  // one replan and walks back after another, instead of never settling (or
+  // replanning on every kind switch).
+  ExecutorConfig cfg = base_config(1);
+  cfg.run_kernels = false;
+  cfg.lane_capacity = {8, 512, 8};
+  const PricingModel pricing(cfg.pricing);
+  const arch::Cycles service =
+      pricing.price(jacobi_job(), {}).value().service_cycles;
+  sim::FaultSchedule::Interval derate;
+  derate.fault.derates = {{0, 0.37}};
+  derate.begin = 50 * service;
+  derate.end = 250 * service;
+  cfg.truth.intervals.push_back(derate);
+
+  Executor ex(cfg);
+  for (int i = 0; i < 400; ++i)
+    ASSERT_TRUE(ex.submit(i % 2 == 0 ? triad_job() : jacobi_job()).accepted);
+  ex.shutdown(Executor::Drain::kDrain);
+  EXPECT_EQ(ex.stats().completed, 400u);
+  EXPECT_EQ(ex.stats().replans, 2u);
+  EXPECT_FALSE(ex.believed_fault().any());
+}
+
 // --- cancellation: bit-identity with the last completed generation --------
 
 std::uint32_t grid_crc(const seg::seg_array<double>& g) {

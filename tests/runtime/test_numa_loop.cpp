@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/numa_loop.h"
@@ -124,6 +128,88 @@ TEST(NodeSupervisorDetector, DebounceThenReplanThenBackoffSuppression) {
   NodeDecision d3 = sup.observe(both, 1.0);
   EXPECT_EQ(d3.action, Action::kSuppressed);
   EXPECT_GE(sup.suppressed(), 1u);
+
+  // Once the window passes the replan goes through.
+  both.begin = 2100000;
+  both.end = 2100100;
+  EXPECT_EQ(sup.observe(both, 1.0).action, Action::kReplan);
+}
+
+// The chip supervisor's abort and quiet-reset contracts (test_supervisor.cpp)
+// on the node: both run one ReplanProtocol. Probing is off, since it rides
+// the protocol's keep decisions and is tested on its own below.
+
+NodeDetectorConfig no_jitter_no_probe() {
+  NodeDetectorConfig cfg;
+  cfg.backoff = {.initial = 50000, .multiplier = 2.0, .cap = 1600000,
+                 .jitter = 0.0};
+  cfg.recovery.enabled = false;
+  return cfg;
+}
+
+/// Socket 1 dead (`down`) or both sockets busy over [at, at + 10000).
+Action feed(NodeSupervisor& sup, bool down, arch::Cycles at) {
+  NodeSample s = down ? dead_socket_sample(1, 0) : healthy_sample();
+  s.begin = at;
+  s.end = at + 10000;
+  return sup.observe(s).action;
+}
+
+TEST(NodeSupervisorDetector, AbortedReplanBacksOffToo) {
+  NodeSupervisor sup(no_jitter_no_probe(), two_sockets(), 7);
+  (void)feed(sup, true, 0);
+  ASSERT_EQ(feed(sup, true, 10000), Action::kReplan);
+  sup.abort(20000);  // break-even gate declined the migration
+  EXPECT_EQ(sup.replans(), 0u);
+  EXPECT_EQ(feed(sup, true, 30000), Action::kSuppressed);
+  EXPECT_EQ(feed(sup, true, 200000), Action::kReplan);
+}
+
+TEST(NodeSupervisorDetector, QuietStretchResetsBackoff) {
+  NodeDetectorConfig cfg = no_jitter_no_probe();
+  cfg.quiet_reset = 3;
+  NodeSupervisor sup(cfg, two_sockets(), 7);
+  (void)feed(sup, true, 0);
+  ASSERT_EQ(feed(sup, true, 10000), Action::kReplan);
+  sup.commit(20000);
+  (void)feed(sup, false, 80000);
+  ASSERT_EQ(feed(sup, false, 90000), Action::kReplan);
+  sup.commit(100000);
+  EXPECT_EQ(sup.backoff().retries(), 2u);
+  for (int i = 0; i < 2; ++i)
+    EXPECT_EQ(feed(sup, false, 110000 + 10000 * i), Action::kKeep);
+  EXPECT_EQ(sup.backoff().retries(), 2u);  // two quiet samples: not yet
+  EXPECT_EQ(feed(sup, false, 130000), Action::kKeep);
+  EXPECT_EQ(sup.backoff().retries(), 0u);
+}
+
+TEST(NodeSupervisor, ConcurrentObserveTripsTheGuard) {
+  // The node supervisor shares Supervisor's single-consumer guard: worker
+  // threads calling observe() at once get std::logic_error instead of
+  // silently racing on the debounce state. As in the chip test, an overlap
+  // needs a preemption inside observe(), so rounds repeat under a
+  // wall-clock bound until the guard trips.
+  NodeSupervisor sup(NodeDetectorConfig{}, two_sockets(), 7);
+  const NodeSample sample = healthy_sample();
+  std::atomic<int> tripped{0};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (tripped.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+      threads.emplace_back([&] {
+        for (int i = 0; i < 20000; ++i) {
+          try {
+            (void)sup.observe(sample);
+          } catch (const std::logic_error&) {
+            tripped.fetch_add(1, std::memory_order_relaxed);
+          }
+          if (tripped.load(std::memory_order_relaxed) > 0) return;
+        }
+      });
+    for (auto& t : threads) t.join();
+  }
+  EXPECT_GT(tripped.load(), 0);
 }
 
 // ---------------------------------------------------------------------------

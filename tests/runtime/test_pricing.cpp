@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +39,29 @@ TEST(Pricing, TrafficBytesFollowTheDocumentedConventions) {
   lbm.n = 16;
   lbm.iterations = 2;
   EXPECT_EQ(PricingModel::traffic_bytes(lbm), 456u * 16 * 16 * 16 * 2);
+}
+
+TEST(Pricing, TrafficThatDoesNotFitIn64BitsIsRefused) {
+  // 456 B per cell-step: n = 2^21 is 456 * 2^63 bytes, which used to wrap
+  // to 0 and price as one free cycle.
+  const PricingModel model;
+  JobSpec lbm;
+  lbm.kind = JobKind::kLbm;
+  lbm.n = std::size_t{1} << 21;
+  EXPECT_THROW((void)PricingModel::traffic_bytes(lbm), std::invalid_argument);
+  EXPECT_THROW((void)model.price(lbm, {}), std::invalid_argument);
+  lbm.n = std::size_t{1} << 20;
+  lbm.iterations = 3;
+  EXPECT_THROW((void)PricingModel::traffic_bytes(lbm), std::invalid_argument);
+  EXPECT_THROW((void)model.price(lbm, {}), std::invalid_argument);
+
+  // The largest power of two that fits still prices exactly.
+  lbm.n = std::size_t{1} << 18;
+  lbm.iterations = 1;
+  EXPECT_EQ(PricingModel::traffic_bytes(lbm), std::uint64_t{456} << 54);
+  const auto quote = model.price(lbm, {});
+  ASSERT_TRUE(quote);
+  EXPECT_EQ(quote.value().bytes, std::uint64_t{456} << 54);
 }
 
 TEST(Pricing, HealthyQuoteConvertsTrafficAtTheAnalyticBandwidth) {
@@ -144,13 +168,18 @@ TEST(Pricing, EstimateExposesTheUtilizationStandIn) {
   for (const double u : healthy.value().mc_utilization) EXPECT_GT(u, 0.1);
 }
 
-/// Every (kind, n, iterations) shape the table tests price.
+constexpr std::size_t kLargeN = std::size_t{1} << 20;
+
+/// Every (kind, n, iterations) shape the table tests price. An LBM box of
+/// kLargeN cells a side moves 456 * 2^60 bytes per step, which does not fit
+/// in 64 bits, so those two shapes are left out: both paths refuse them.
 std::vector<JobSpec> table_shapes() {
   std::vector<JobSpec> shapes;
   for (const JobKind kind : {JobKind::kTriad, JobKind::kJacobi, JobKind::kLbm})
-    for (const std::size_t n : {std::size_t{1}, std::size_t{1024},
-                                std::size_t{4096}, std::size_t{1} << 20})
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{1024}, std::size_t{4096}, kLargeN})
       for (const unsigned iterations : {1u, 3u}) {
+        if (kind == JobKind::kLbm && n == kLargeN) continue;
         JobSpec j;
         j.kind = kind;
         j.n = n;
@@ -204,6 +233,14 @@ TEST(Pricing, HealthyTableEqualsTheModelBitForBit) {
       ASSERT_TRUE(est_table);
       ASSERT_TRUE(est_computed);
       expect_same_estimate(est_table.value(), est_computed.value());
+    }
+    JobSpec lbm;
+    lbm.kind = JobKind::kLbm;
+    lbm.n = kLargeN;
+    for (const unsigned iterations : {1u, 3u}) {
+      lbm.iterations = iterations;
+      EXPECT_THROW((void)model.price(lbm, {}), std::invalid_argument);
+      EXPECT_THROW((void)model.price(lbm, faults), std::invalid_argument);
     }
   }
 }

@@ -1,6 +1,7 @@
 #include "runtime/service/service.h"
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -44,6 +45,31 @@ TEST(Service, RegisterValidatesTenantConfigs) {
   EXPECT_THROW((void)svc.submit(0, triad(1024, 0)), std::out_of_range);
   EXPECT_THROW((void)svc.submit(2, triad(1024, 0)), std::out_of_range);
   EXPECT_THROW((void)svc.tenant(2), std::out_of_range);
+}
+
+TEST(Service, TrafficThatOverflowsIsRefusedAtTheDoorAndTheExecutor) {
+  Service svc(accounting_config());
+  const TenantId id = svc.register_tenant({.name = "big"});
+  std::vector<JobSpec> specs(2);
+  for (JobSpec& spec : specs) spec.kind = JobKind::kLbm;
+  specs[0].n = std::size_t{1} << 21;
+  specs[1].n = std::size_t{1} << 20;
+  specs[1].iterations = 3;
+  for (const JobSpec& spec : specs) {
+    EXPECT_THROW((void)svc.submit(id, spec), std::invalid_argument);
+    EXPECT_THROW((void)svc.executor().submit(spec), std::invalid_argument);
+  }
+  // Nothing was counted, charged or minted on either side.
+  const auto snap = svc.tenant(id);
+  EXPECT_EQ(snap.counters.submitted, 0u);
+  EXPECT_EQ(snap.counters.offered_bytes, 0u);
+  EXPECT_EQ(snap.counters.forwarded, 0u);
+  const exec::ExecutorStats stats = svc.executor().stats();
+  EXPECT_EQ(stats.submitted, 0u);
+  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_TRUE(svc.executor().reports().empty());
+  EXPECT_EQ(svc.submit(id, triad(1024, 0)).id, 1u);  // the first id
+  svc.shutdown(exec::Executor::Drain::kDrain);
 }
 
 TEST(Service, QuotaThrottleIsTypedAndInvisibleToTheExecutor) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "arch/address_map.h"
@@ -29,13 +30,13 @@ DetectorConfig small_backoff() {
 TEST(DetectorConfig, CheckAccumulatesEveryViolation) {
   DetectorConfig cfg;
   cfg.stable_window = 0;
-  cfg.offline_threshold = 1.5;
-  cfg.replan_gain = 0.5;
+  cfg.quiet_reset = 0;
+  cfg.backoff.jitter = 1.5;
   const auto status = cfg.check();
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.error().message.find("stable_window"), std::string::npos);
-  EXPECT_NE(status.error().message.find("offline_threshold"), std::string::npos);
-  EXPECT_NE(status.error().message.find("replan_gain"), std::string::npos);
+  EXPECT_NE(status.error().message.find("quiet_reset"), std::string::npos);
+  EXPECT_NE(status.error().message.find("backoff.jitter"), std::string::npos);
   EXPECT_TRUE(DetectorConfig{}.check().ok());
 }
 
@@ -193,6 +194,32 @@ TEST(Supervisor, QuietStretchResetsBackoff) {
   for (int i = 0; i < 4; ++i)
     (void)sup.observe(sample_at(110000 + 10000 * i, healthy));
   EXPECT_EQ(sup.backoff().retries(), 0u);
+}
+
+TEST(Supervisor, OneUlpApartDiagnosesAreOneFaultState) {
+  // Successive samples of one derated controller diagnose factors a few ULP
+  // apart. Fed alternately they are one fault state: one replan after the
+  // debounce, then quiet — not a new fault on every sample.
+  Supervisor sup(small_backoff(), kSpec);
+  const std::vector<double> a = {0.95, 0.4, 0.42, 0.38};
+  std::vector<double> b = a;
+  b[0] = std::nextafter(a[0], 1.0);
+  ASSERT_NE(sup.diagnose(a).derates.at(0).factor,
+            sup.diagnose(b).derates.at(0).factor);
+
+  EXPECT_EQ(sup.observe(sample_at(0, a)).action, Action::kKeep);
+  const Decision dec = sup.observe(sample_at(10000, b));
+  ASSERT_EQ(dec.action, Action::kReplan);
+  // The proposal is the first diagnosis of the stable run.
+  EXPECT_EQ(dec.diagnosis.derates.at(0).factor,
+            sup.diagnose(a).derates.at(0).factor);
+  sup.commit(20000);
+  for (int i = 0; i < 8; ++i)
+    EXPECT_EQ(sup.observe(sample_at(30000 + 10000 * i, i % 2 ? a : b)).action,
+              Action::kKeep)
+        << "sample " << i;
+  EXPECT_EQ(sup.replans(), 1u);
+  EXPECT_EQ(sup.suppressed(), 0u);
 }
 
 TEST(Supervisor, RejectsMismatchedUtilizationVector) {
