@@ -4,10 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "util/timer.h"
 
 namespace mcopt::kernels {
@@ -33,35 +29,13 @@ void init_jacobi(seg::seg_array<double>& grid) {
   }
 }
 
-namespace {
-
-void apply_omp_schedule(const sched::Schedule& schedule) {
-#ifdef _OPENMP
-  switch (schedule.kind) {
-    case sched::ScheduleKind::kStatic:
-      omp_set_schedule(omp_sched_static, 0);
-      break;
-    case sched::ScheduleKind::kStaticChunk:
-      omp_set_schedule(omp_sched_static, static_cast<int>(schedule.chunk));
-      break;
-    case sched::ScheduleKind::kDynamic:
-      omp_set_schedule(omp_sched_dynamic, static_cast<int>(schedule.chunk));
-      break;
-  }
-#else
-  (void)schedule;
-#endif
-}
-
-}  // namespace
-
 double jacobi_sweep_seconds(const seg::seg_array<double>& src,
                             seg::seg_array<double>& dst,
                             const sched::Schedule& schedule) {
   const std::size_t n = src.num_segments();
   if (dst.num_segments() != n)
     throw std::invalid_argument("jacobi_sweep: grid size mismatch");
-  apply_omp_schedule(schedule);
+  sched::apply_omp_schedule(schedule);
   const auto rows = static_cast<std::ptrdiff_t>(n) - 1;
   util::Timer timer;
 #pragma omp parallel for schedule(runtime)

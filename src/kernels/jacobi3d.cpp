@@ -2,10 +2,6 @@
 
 #include <stdexcept>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "util/timer.h"
 
 namespace mcopt::kernels {
@@ -39,19 +35,7 @@ double jacobi3d_sweep_seconds(const seg::seg_array<double>& src,
                               const sched::Schedule& schedule) {
   if (src.num_segments() != n * n || dst.num_segments() != n * n)
     throw std::invalid_argument("jacobi3d_sweep: grid/n mismatch");
-#ifdef _OPENMP
-  switch (schedule.kind) {
-    case sched::ScheduleKind::kStatic:
-      omp_set_schedule(omp_sched_static, 0);
-      break;
-    case sched::ScheduleKind::kStaticChunk:
-      omp_set_schedule(omp_sched_static, static_cast<int>(schedule.chunk));
-      break;
-    case sched::ScheduleKind::kDynamic:
-      omp_set_schedule(omp_sched_dynamic, static_cast<int>(schedule.chunk));
-      break;
-  }
-#endif
+  sched::apply_omp_schedule(schedule);
   const auto interior = static_cast<std::ptrdiff_t>((n - 2) * (n - 2));
   util::Timer timer;
 #pragma omp parallel for schedule(runtime)

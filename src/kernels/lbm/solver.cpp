@@ -2,10 +2,6 @@
 
 #include <stdexcept>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "util/timer.h"
 
 namespace mcopt::kernels::lbm {
@@ -103,19 +99,7 @@ double Solver::step() {
   const std::size_t read_toggle = steps_ % 2;
   const std::size_t write_toggle = 1 - read_toggle;
 
-#ifdef _OPENMP
-  switch (p_.schedule.kind) {
-    case sched::ScheduleKind::kStatic:
-      omp_set_schedule(omp_sched_static, 0);
-      break;
-    case sched::ScheduleKind::kStaticChunk:
-      omp_set_schedule(omp_sched_static, static_cast<int>(p_.schedule.chunk));
-      break;
-    case sched::ScheduleKind::kDynamic:
-      omp_set_schedule(omp_sched_dynamic, static_cast<int>(p_.schedule.chunk));
-      break;
-  }
-#endif
+  sched::apply_omp_schedule(p_.schedule);
 
   util::Timer timer;
   if (p_.fused_zy) {

@@ -100,19 +100,9 @@ util::Status save_checkpoint(const std::string& path, const Checkpoint& ckpt) {
 util::Expected<Checkpoint> load_checkpoint(const std::string& path) {
   const obs::TraceSpan span("ckpt.load", "ckpt");
   using Result = util::Expected<Checkpoint>;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr)
-    return Result::failure("checkpoint: cannot open '" + path +
-                           "': " + std::strerror(errno));
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
-    bytes.insert(bytes.end(), buf, buf + got);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error)
-    return Result::failure("checkpoint: read error on '" + path + "'");
+  auto contents = util::wire::read_file(path, "checkpoint");
+  if (!contents) return Result::failure(contents.error().message);
+  const std::vector<std::uint8_t>& bytes = contents.value();
 
   if (bytes.size() < kHeaderBytes + kFileCrcBytes)
     return Result::failure("checkpoint: '" + path + "' is truncated (" +

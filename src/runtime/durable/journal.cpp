@@ -96,12 +96,10 @@ std::vector<std::uint8_t> SubmissionRecord::encode() const {
 util::Expected<SubmissionRecord> SubmissionRecord::decode(
     const std::vector<std::uint8_t>& p) {
   using Result = util::Expected<SubmissionRecord>;
-  // 64 bytes = journal v1 (no trace context); 80 = v2. Anything else is
-  // damage, refused before a field is read.
-  if (p.size() != 64 && p.size() != 80)
+  // Any other size is damage, refused before a field is read.
+  if (p.size() != 80)
     return Result::failure("journal: submission record has " +
-                           std::to_string(p.size()) +
-                           " bytes, expected 64 (v1) or 80 (v2)");
+                           std::to_string(p.size()) + " bytes, expected 80");
   SubmissionRecord r;
   r.submission_id = wire::get_u64(p.data());
   r.exec_job_id = wire::get_u64(p.data() + 8);
@@ -113,10 +111,8 @@ util::Expected<SubmissionRecord> SubmissionRecord::decode(
   r.iterations = wire::get_u64(p.data() + 40);
   r.deadline = wire::get_u64(p.data() + 48);
   r.arrival = wire::get_u64(p.data() + 56);
-  if (p.size() == 80) {
-    r.trace_id = wire::get_u64(p.data() + 64);
-    r.parent_span = wire::get_u64(p.data() + 72);
-  }
+  r.trace_id = wire::get_u64(p.data() + 64);
+  r.parent_span = wire::get_u64(p.data() + 72);
   return r;
 }
 
@@ -307,19 +303,9 @@ util::Expected<JournalRecovery> recover_journal(const std::string& path) {
   JournalMetrics& m = JournalMetrics::get();
   m.recoveries.inc();
 
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr)
-    return Result::failure("journal: cannot open '" + path +
-                           "': " + std::strerror(errno));
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
-    bytes.insert(bytes.end(), buf, buf + got);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error)
-    return Result::failure("journal: read error on '" + path + "'");
+  auto contents = wire::read_file(path, "journal");
+  if (!contents) return Result::failure(contents.error().message);
+  const std::vector<std::uint8_t>& bytes = contents.value();
 
   // Header: any damage here is a refusal, not a truncation — there is no
   // intact prefix to fall back to.
@@ -333,10 +319,9 @@ util::Expected<JournalRecovery> recover_journal(const std::string& path) {
     return Result::failure("journal: '" + path +
                            "' is not a journal (bad magic)");
   const std::uint32_t version = wire::get_u32(p + 4);
-  if (version < kJournalMinVersion || version > kJournalVersion)
+  if (version != kJournalVersion)
     return Result::failure("journal: '" + path + "' has version " +
                            std::to_string(version) + "; this build reads " +
-                           std::to_string(kJournalMinVersion) + ".." +
                            std::to_string(kJournalVersion));
   const std::uint32_t stored_crc = wire::get_u32(p + kJournalHeaderBytes - 4);
   const std::uint32_t header_crc = util::crc32c(p, kJournalHeaderBytes - 4);
@@ -348,7 +333,6 @@ util::Expected<JournalRecovery> recover_journal(const std::string& path) {
 
   JournalRecovery out;
   out.user = wire::get_u64(p + 8);
-  out.version = version;
 
   std::size_t at = kJournalHeaderBytes;
   std::uint64_t expected_seq = 1;

@@ -48,14 +48,11 @@
 namespace mcopt::runtime::durable {
 
 inline constexpr std::uint32_t kJournalMagic = 0x4C4E4A4Du;  // "MJNL"
-/// Current write version. v2 extends SubmissionRecord with the 64-bit trace
-/// context (trace_id, parent_span) and reuses CompletionRecord's spare word
-/// as the plan-set controller mask for attribution replay.
+/// The version this build writes, and the only one recovery reads. v2
+/// extended SubmissionRecord with the 64-bit trace context (trace_id,
+/// parent_span) and reused CompletionRecord's spare word as the plan-set
+/// controller mask for attribution replay.
 inline constexpr std::uint32_t kJournalVersion = 2;
-/// Oldest version recovery still reads. v1 journals replay unmodified: their
-/// 64-byte submission payloads decode with a zero trace context and their
-/// completion spare word reads as an empty plan mask.
-inline constexpr std::uint32_t kJournalMinVersion = 1;
 /// magic + version + user + header CRC.
 inline constexpr std::size_t kJournalHeaderBytes = 4 + 4 + 8 + 4;  // 20
 /// Record frame prefix (payload_bytes + type + sequence) before the payload.
@@ -97,9 +94,7 @@ namespace wire = util::wire;
 
 // --- typed record payloads -------------------------------------------------
 
-/// Every job presented at the door, with the door's verdict. 80 bytes since
-/// journal v2 (the trailing trace context); v1's 64-byte payloads decode
-/// with a zero trace context, so old journals replay unmodified.
+/// Every job presented at the door, with the door's verdict. 80 bytes.
 struct SubmissionRecord {
   std::uint64_t submission_id = 0;  ///< caller-chosen dedup key
   std::uint64_t exec_job_id = 0;    ///< executor id in the writing process; 0 if never forwarded
@@ -129,11 +124,10 @@ struct CompletionRecord {
   std::uint64_t served_bytes = 0;  ///< quote bytes credited to the tenant ledger
   std::uint64_t finish = 0;        ///< virtual-cycle finish stamp
   std::uint32_t field_crc = 0;     ///< kernel field CRC (bit-identity witness)
-  /// Plan-set controller bitmask (bit i = controller i) since journal v2, so
-  /// a replayed completion re-credits the attribution ledger to the same
-  /// controllers the live run charged. v1 journals carry 0 here (the word
-  /// was reserved and always written as zero): replay charges the
-  /// unknown-controller cell instead — per-tenant totals stay exact.
+  /// Plan-set controller bitmask (bit i = controller i), so a replayed
+  /// completion re-credits the attribution ledger to the same controllers
+  /// the live run charged. A zero mask charges the unknown-controller cell
+  /// instead; per-tenant totals stay exact.
   std::uint32_t plan_mask = 0;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
@@ -237,8 +231,6 @@ class JournalWriter {
 /// Result of scanning a journal file.
 struct JournalRecovery {
   std::uint64_t user = 0;        ///< header user word
-  /// Header version of the scanned file (kJournalMinVersion..kJournalVersion).
-  std::uint32_t version = kJournalVersion;
   std::vector<Record> records;   ///< intact records, in append order
   std::uint64_t valid_bytes = 0; ///< byte length of the intact prefix
   std::uint64_t dropped_bytes = 0;  ///< torn/corrupt tail length (0 = clean)

@@ -181,14 +181,6 @@ util::Expected<std::unique_ptr<ServiceHandle>> ServiceHandle::open(
           !s.ok())
         return Result::failure(s.error().message);
     }
-    if (im.has_node_supervisor) {
-      if (handle->node_supervisor_ == nullptr) {
-        // The beliefs survive in the file; the caller may attach later via
-        // attach_node_supervisor() before traffic.
-        handle->pending_supervisor_ = std::make_unique<NodeSupervisor::Snapshot>(
-            std::move(im.node_supervisor));
-      }
-    }
   }
 
   if (const util::Status s = handle->replay_locked(rec, covered); !s.ok())
@@ -257,7 +249,7 @@ util::Status ServiceHandle::replay_locked(const JournalRecovery& rec,
     spec.arrival = sr.arrival;
     // The journaled trace context is what stitches the chain across the
     // kill: post-restart events carry the SAME flow id the pre-kill submit
-    // span started (v1 journals carry 0 — no flow, no harm).
+    // span started (a zero context starts no flow).
     spec.trace_id = sr.trace_id;
     spec.parent_span = sr.parent_span;
     if (sr.trace_id != 0)
@@ -297,8 +289,8 @@ util::Status ServiceHandle::replay_locked(const JournalRecovery& rec,
     } else if (comp != completions.end()) {
       // Completed before the crash: credit the ledger, do NOT re-run. The
       // attribution re-charge uses the journaled plan mask, so the bytes
-      // land on the same controllers the live run charged (a v1 journal's
-      // zero mask charges the unknown-controller cell — totals stay exact).
+      // land on the same controllers the live run charged (a zero mask
+      // charges the unknown-controller cell — totals stay exact).
       sub.outcome_known = true;
       sub.completed = true;
       sub.comp = comp->second;
@@ -579,10 +571,6 @@ util::Status ServiceHandle::publish_snapshot_locked(bool compact) {
   im.door = service_->snapshot_door();
   im.clocks = service_->executor().virtual_clocks();
   im.ledger = ledger_;
-  if (node_supervisor_ != nullptr) {
-    im.has_node_supervisor = true;
-    im.node_supervisor = node_supervisor_->snapshot();
-  }
   // The attribution ledger rides in every snapshot: restart restores it and
   // replay re-charges only post-snapshot records, so per-tenant byte totals
   // reconcile exactly across a SIGKILL.
@@ -717,17 +705,6 @@ PollResult ServiceHandle::poll(std::uint64_t submission_id) const {
     out.reason = static_cast<exec::ShedReason>(sub.shed.reason);
   }
   return out;
-}
-
-util::Status ServiceHandle::attach_node_supervisor(NodeSupervisor* sup) {
-  const std::lock_guard<std::mutex> guard(mu_);
-  node_supervisor_ = sup;
-  if (sup != nullptr && pending_supervisor_ != nullptr) {
-    const util::Status s = sup->restore(*pending_supervisor_);
-    if (!s.ok()) return s;
-    pending_supervisor_.reset();
-  }
-  return util::Status{};
 }
 
 std::vector<TenantLedger> ServiceHandle::ledger() const {

@@ -24,7 +24,7 @@
 //
 //   1. the state snapshot (CRC-guarded; torn writes impossible by atomic
 //      rename) restores the door, the executor's virtual clocks, the
-//      per-tenant ledgers and (optionally) NodeSupervisor beliefs;
+//      per-tenant ledgers and the bandwidth-attribution ledger;
 //   2. journal records covered by the snapshot are skipped; records after
 //      it are REPLAYED: every submission is re-presented to the restored
 //      door, which reproduces the original verdict bit-identically (all
@@ -180,11 +180,6 @@ class ServiceHandle {
 
   [[nodiscard]] PollResult poll(std::uint64_t submission_id) const;
 
-  /// Attaches a NodeSupervisor whose quarantine-and-ramp beliefs ride in
-  /// every subsequent snapshot; on open(), a snapshot carrying beliefs
-  /// restores them into the attached supervisor (call before traffic).
-  [[nodiscard]] util::Status attach_node_supervisor(NodeSupervisor* sup);
-
   [[nodiscard]] service::Service& service() noexcept { return *service_; }
   [[nodiscard]] const service::Service& service() const noexcept {
     return *service_;
@@ -235,10 +230,6 @@ class ServiceHandle {
 
   DurableConfig cfg_;
   std::unique_ptr<service::Service> service_;
-  NodeSupervisor* node_supervisor_ = nullptr;
-  /// Beliefs recovered from the snapshot before a supervisor was attached;
-  /// handed over (and cleared) by attach_node_supervisor().
-  std::unique_ptr<NodeSupervisor::Snapshot> pending_supervisor_;
 
   mutable std::mutex mu_;
   std::unique_ptr<JournalWriter> writer_;

@@ -8,108 +8,9 @@ namespace mcopt::runtime::durable {
 namespace {
 
 using wire::put_f64;
-using wire::put_str;
 using wire::put_u32;
 using wire::put_u64;
 using wire::Reader;
-
-// --- FaultSpec -------------------------------------------------------------
-// Field-by-field binary, NOT describe()/parse(): the belief must round-trip
-// bit-identically (derate factors are doubles feeding analytic pricing).
-
-void put_fault_spec(std::vector<std::uint8_t>& out, const sim::FaultSpec& f) {
-  put_u32(out, static_cast<std::uint32_t>(f.offline_controllers.size()));
-  for (unsigned c : f.offline_controllers) put_u32(out, c);
-  put_u32(out, static_cast<std::uint32_t>(f.derates.size()));
-  for (const auto& d : f.derates) {
-    put_u32(out, d.controller);
-    put_f64(out, d.factor);
-  }
-  put_u32(out, static_cast<std::uint32_t>(f.slow_banks.size()));
-  for (const auto& b : f.slow_banks) {
-    put_u32(out, b.bank);
-    put_u64(out, b.extra_busy);
-  }
-  put_u32(out, static_cast<std::uint32_t>(f.stragglers.size()));
-  for (const auto& s : f.stragglers) {
-    put_u32(out, s.thread);
-    put_u64(out, s.extra_cycles);
-  }
-  put_u32(out, static_cast<std::uint32_t>(f.flips.size()));
-  for (const auto& fl : f.flips) {
-    put_u32(out, fl.controller);
-    put_f64(out, fl.rate);
-  }
-  put_u32(out, static_cast<std::uint32_t>(f.offline_sockets.size()));
-  for (unsigned s : f.offline_sockets) put_u32(out, s);
-  put_u32(out, static_cast<std::uint32_t>(f.socket_derates.size()));
-  for (const auto& d : f.socket_derates) {
-    put_u32(out, d.socket);
-    put_f64(out, d.factor);
-  }
-  put_u32(out, static_cast<std::uint32_t>(f.link_faults.size()));
-  for (const auto& l : f.link_faults) {
-    put_u32(out, l.a);
-    put_u32(out, l.b);
-    put_f64(out, l.factor);
-    put_u32(out, l.offline ? 1 : 0);
-  }
-}
-
-sim::FaultSpec get_fault_spec(Reader& r) {
-  sim::FaultSpec f;
-  const std::uint32_t n_off = r.u32();
-  for (std::uint32_t i = 0; r.ok && i < n_off; ++i)
-    f.offline_controllers.push_back(r.u32());
-  const std::uint32_t n_der = r.u32();
-  for (std::uint32_t i = 0; r.ok && i < n_der; ++i) {
-    sim::FaultSpec::Derate d;
-    d.controller = r.u32();
-    d.factor = r.f64();
-    f.derates.push_back(d);
-  }
-  const std::uint32_t n_banks = r.u32();
-  for (std::uint32_t i = 0; r.ok && i < n_banks; ++i) {
-    sim::FaultSpec::SlowBank b;
-    b.bank = r.u32();
-    b.extra_busy = r.u64();
-    f.slow_banks.push_back(b);
-  }
-  const std::uint32_t n_strag = r.u32();
-  for (std::uint32_t i = 0; r.ok && i < n_strag; ++i) {
-    sim::FaultSpec::Straggler s;
-    s.thread = r.u32();
-    s.extra_cycles = r.u64();
-    f.stragglers.push_back(s);
-  }
-  const std::uint32_t n_flips = r.u32();
-  for (std::uint32_t i = 0; r.ok && i < n_flips; ++i) {
-    sim::FaultSpec::BitFlip fl;
-    fl.controller = r.u32();
-    fl.rate = r.f64();
-    f.flips.push_back(fl);
-  }
-  const std::uint32_t n_soff = r.u32();
-  for (std::uint32_t i = 0; r.ok && i < n_soff; ++i)
-    f.offline_sockets.push_back(r.u32());
-  const std::uint32_t n_sder = r.u32();
-  for (std::uint32_t i = 0; r.ok && i < n_sder; ++i) {
-    sim::FaultSpec::SocketDerate d;
-    d.socket = r.u32();
-    d.factor = r.f64();
-    f.socket_derates.push_back(d);
-  }
-  const std::uint32_t n_links = r.u32();
-  for (std::uint32_t i = 0; r.ok && i < n_links; ++i) {
-    sim::FaultSpec::LinkFault l;
-    l.a = r.u32();
-    l.b = r.u32();
-    l.factor = r.f64();
-    l.offline = r.u32() != 0;
-    f.link_faults.push_back(l);
-  }
-  return f;
-}
 
 // --- Backoff / CircuitBreaker ---------------------------------------------
 
@@ -235,59 +136,6 @@ util::Status decode_ledger(const std::vector<std::uint8_t>& bytes,
   return util::Status{};
 }
 
-std::vector<std::uint8_t> encode_node_supervisor(
-    const NodeSupervisor::Snapshot& s) {
-  std::vector<std::uint8_t> out;
-  put_fault_spec(out, s.planned_against);
-  put_fault_spec(out, s.pending_diag);
-  // Image v2 carries the pending diagnosis's describe() string: derived
-  // here, skipped on read.
-  put_str(out, s.pending_count != 0 ? s.pending_diag.describe() : "");
-  put_u32(out, s.pending_count);
-  put_u32(out, s.quiet_count);
-  put_u32(out, s.replans);
-  put_u32(out, s.suppressed);
-  put_backoff(out, s.backoff);
-  put_u32(out, static_cast<std::uint32_t>(s.gates.size()));
-  for (const auto& g : s.gates) put_breaker(out, g);
-  for (unsigned v : s.ramp_left) put_u32(out, v);
-  for (double v : s.ramp_factor) put_f64(out, v);
-  put_u32(out, s.probes);
-  put_u32(out, s.probe_failures);
-  put_u32(out, s.recoveries);
-  put_u32(out, s.readmissions);
-  return out;
-}
-
-util::Status decode_node_supervisor(const std::vector<std::uint8_t>& bytes,
-                                    NodeSupervisor::Snapshot& s) {
-  Reader r{bytes.data(), bytes.size()};
-  s.planned_against = get_fault_spec(r);
-  s.pending_diag = get_fault_spec(r);
-  (void)r.str();
-  s.pending_count = r.u32();
-  s.quiet_count = r.u32();
-  s.replans = r.u32();
-  s.suppressed = r.u32();
-  s.backoff = get_backoff(r);
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; r.ok && i < n; ++i)
-    s.gates.push_back(get_breaker(r));
-  for (std::uint32_t i = 0; r.ok && i < n; ++i)
-    s.ramp_left.push_back(r.u32());
-  for (std::uint32_t i = 0; r.ok && i < n; ++i)
-    s.ramp_factor.push_back(r.f64());
-  s.probes = r.u32();
-  s.probe_failures = r.u32();
-  s.recoveries = r.u32();
-  s.readmissions = r.u32();
-  if (!r.done())
-    return util::Status::failure(
-        "durable state: node-supervisor section is malformed "
-        "(length/field mismatch)");
-  return util::Status{};
-}
-
 }  // namespace
 
 util::Status save_state(const std::string& path, const StateImage& image) {
@@ -301,14 +149,9 @@ util::Status save_state(const std::string& path, const StateImage& image) {
   ckpt.kind = kDurableStateCheckpoint;
   ckpt.iteration = image.snapshot_id;
   ckpt.user[0] = kStateImageVersion;
-  std::uint64_t flags = 0;
-  if (image.has_node_supervisor) flags |= kStateFlagNodeSupervisor;
-  if (image.has_attribution) flags |= kStateFlagAttribution;
-  ckpt.user[1] = flags;
+  ckpt.user[1] = image.has_attribution ? kStateFlagAttribution : 0;
   ckpt.sections.push_back(encode_core(image));
   ckpt.sections.push_back(encode_ledger(image));
-  if (image.has_node_supervisor)
-    ckpt.sections.push_back(encode_node_supervisor(image.node_supervisor));
   if (image.has_attribution) ckpt.sections.push_back(image.attribution);
   return save_checkpoint(path, ckpt);
 }
@@ -324,25 +167,17 @@ util::Expected<StateImage> load_state(const std::string& path) {
                            "' is not a durable-state snapshot (kind " +
                            std::to_string(ckpt.kind) + ")");
   const std::uint64_t version = ckpt.user[0];
-  if (version < kStateImageMinVersion || version > kStateImageVersion)
+  if (version != kStateImageVersion)
     return Result::failure("durable state: '" + path + "' has image version " +
                            std::to_string(version) + "; this build reads " +
-                           std::to_string(kStateImageMinVersion) + ".." +
                            std::to_string(kStateImageVersion));
-  // v1 images used user[1] as a has-node-supervisor boolean; v2 made it a
-  // section-flags bitmask. A v1 "1" decodes identically under the mask.
   const std::uint64_t flags = ckpt.user[1];
-  const std::uint64_t known_flags =
-      version >= 2 ? (kStateFlagNodeSupervisor | kStateFlagAttribution)
-                   : kStateFlagNodeSupervisor;
-  if ((flags & ~known_flags) != 0)
+  if ((flags & ~kStateFlagAttribution) != 0)
     return Result::failure("durable state: '" + path +
                            "' carries unknown section flags " +
-                           std::to_string(flags & ~known_flags));
-  const bool has_sup = (flags & kStateFlagNodeSupervisor) != 0;
+                           std::to_string(flags & ~kStateFlagAttribution));
   const bool has_attr = (flags & kStateFlagAttribution) != 0;
-  const std::size_t want_sections =
-      2u + (has_sup ? 1u : 0u) + (has_attr ? 1u : 0u);
+  const std::size_t want_sections = has_attr ? 3u : 2u;
   if (ckpt.sections.size() != want_sections)
     return Result::failure("durable state: '" + path + "' has " +
                            std::to_string(ckpt.sections.size()) +
@@ -350,7 +185,6 @@ util::Expected<StateImage> load_state(const std::string& path) {
                            std::to_string(want_sections));
   StateImage im;
   im.snapshot_id = ckpt.iteration;
-  im.has_node_supervisor = has_sup;
   im.has_attribution = has_attr;
   if (const util::Status s = decode_core(ckpt.sections[0], im); !s.ok())
     return Result::failure(s.error().message);
@@ -361,16 +195,9 @@ util::Expected<StateImage> load_state(const std::string& path) {
         "durable state: '" + path + "' ledger covers " +
         std::to_string(im.ledger.size()) + " tenants, door section has " +
         std::to_string(im.door.tenants.size()));
-  std::size_t next = 2;
-  if (has_sup) {
-    if (const util::Status s =
-            decode_node_supervisor(ckpt.sections[next++], im.node_supervisor);
-        !s.ok())
-      return Result::failure(s.error().message);
-  }
   // Attribution bytes stay opaque here: obs::Attribution::restore() owns the
   // format and reports its own typed refusals when the caller feeds it.
-  if (has_attr) im.attribution = ckpt.sections[next++];
+  if (has_attr) im.attribution = ckpt.sections[2];
   return im;
 }
 

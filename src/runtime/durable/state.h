@@ -14,8 +14,8 @@
 //     admit tail), so admission projections and WFQ virtual time continue
 //     where they stopped;
 //   * per-tenant served-byte ledgers (the reconciliation ground truth);
-//   * optionally, a NodeSupervisor's quarantine-and-ramp beliefs, so a
-//     restarted node does not relearn socket health from scratch.
+//   * the bandwidth-attribution ledger, so it reconciles byte-exactly with
+//     the tenant ledgers across a restart.
 //
 // On disk the image is a runtime::Checkpoint (kind kDurableStateCheckpoint):
 // versioned header, CRC32C-guarded sections, whole-file CRC, written via
@@ -33,22 +33,17 @@
 
 #include "runtime/executor/executor.h"
 #include "runtime/service/service.h"
-#include "runtime/supervisor.h"
 #include "util/expected.h"
 
 namespace mcopt::runtime::durable {
 
 /// Wire-format version of the state image (inside the checkpoint container,
-/// which has its own). v2 turned the container's user[1] word from a
-/// has-node-supervisor boolean into a section-flags bitmask and added the
-/// optional attribution section; v1 images still load (no attribution — the
-/// ledger replays rebuild per-tenant totals from the journal).
+/// which has its own). The only version this build reads or writes.
 inline constexpr std::uint32_t kStateImageVersion = 2;
-inline constexpr std::uint32_t kStateImageMinVersion = 1;
 
-/// Section-flag bits carried in the checkpoint container's user[1] word
-/// (v2 images; a v1 image's user[1] is the has-node-supervisor boolean).
-inline constexpr std::uint64_t kStateFlagNodeSupervisor = 1u << 0;
+/// Section-flag bits carried in the checkpoint container's user[1] word.
+/// Bit 0 is retired: it flagged a section no build writes any more, and an
+/// image that sets it is refused like any other unknown flag.
 inline constexpr std::uint64_t kStateFlagAttribution = 1u << 1;
 
 /// Per-tenant durable accounting, accumulated from journaled completions.
@@ -71,9 +66,7 @@ struct StateImage {
   service::DoorSnapshot door;
   exec::Executor::VirtualClocks clocks;
   std::vector<TenantLedger> ledger;
-  bool has_node_supervisor = false;
-  NodeSupervisor::Snapshot node_supervisor;
-  /// Opaque obs::Attribution::encode() blob (v2 images). Carried so the
+  /// Opaque obs::Attribution::encode() blob. Carried so the
   /// bandwidth-attribution ledger reconciles byte-exactly across restarts:
   /// the snapshot holds the covered prefix, journal replay re-charges the
   /// rest.

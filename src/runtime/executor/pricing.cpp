@@ -38,13 +38,12 @@ StreamShape shape_of(JobKind kind) {
 }
 
 /// A job's quote at `bandwidth` bytes/s: its traffic in service cycles at
-/// `hz`. `model` names the estimate in the non-positive-bandwidth error.
+/// `hz`.
 util::Expected<Quote> quote_at(const JobSpec& job, double bandwidth, double hz,
-                               const char* model,
                                std::vector<unsigned> plan_set) {
   if (!(bandwidth > 0.0))
-    return util::Expected<Quote>::failure(std::string("pricing: ") + model +
-                                          " returned non-positive bandwidth");
+    return util::Expected<Quote>::failure(
+        "pricing: analytic model returned non-positive bandwidth");
   Quote q;
   q.bandwidth = bandwidth;
   q.bytes = PricingModel::traffic_bytes(job);
@@ -133,58 +132,15 @@ util::Expected<sim::AnalyticEstimate> PricingModel::model_estimate(
   }
 }
 
-util::Expected<sim::NodeEstimate> PricingModel::estimate_node(
-    JobKind kind, const arch::NodeTopology& node,
-    const sim::FaultSpec& faults) const {
-  using Result = util::Expected<sim::NodeEstimate>;
-  const std::vector<unsigned> memory = faults.surviving_sockets(node.num_sockets);
-  if (memory.empty())
-    return Result::failure(
-        "pricing: no surviving socket memory to plan a layout on");
-
-  std::vector<unsigned> compute(node.num_sockets);
-  for (unsigned s = 0; s < node.num_sockets; ++s) compute[s] = s;
-  const StreamShape shape = shape_of(kind);
-  try {
-    const seg::NodeStreamPlan plan = seg::plan_node_stream_shards(
-        shape.num_streams, cfg_.map, node, compute, memory);
-    std::vector<std::vector<sim::AnalyticStream>> streams(node.num_sockets);
-    std::vector<unsigned> strands(node.num_sockets, cfg_.pricing_threads);
-    for (const seg::NodeStreamPlan::Shard& shard : plan.shards) {
-      std::vector<sim::AnalyticStream> logical;
-      logical.reserve(shard.bases.size());
-      for (std::size_t k = 0; k < shard.bases.size(); ++k)
-        logical.push_back({shard.bases[k], k == shape.write_index});
-      streams[shard.compute_socket] = sim::expand_rfo(logical);
-    }
-    return Result(sim::estimate_node_bandwidth(streams, strands,
-                                               cfg_.calibration, cfg_.map, node,
-                                               cfg_.clock_ghz, faults));
-  } catch (const std::invalid_argument& e) {
-    return Result::failure(std::string("pricing: ") + e.what());
-  }
-}
-
-util::Expected<Quote> PricingModel::price_node(
-    const JobSpec& job, const arch::NodeTopology& node,
-    const sim::FaultSpec& faults) const {
-  const auto est = estimate_node(job.kind, node, faults);
-  if (!est) return util::Expected<Quote>::failure(est.error().message);
-  return quote_at(job, est.value().bandwidth, clock_hz(),
-                  "node analytic model",
-                  faults.surviving_sockets(node.num_sockets));
-}
-
 util::Expected<Quote> PricingModel::price(const JobSpec& job,
                                           const sim::FaultSpec& faults) const {
   if (const auto* healthy = healthy_entry(job.kind, faults)) {
     if (!*healthy) return util::Expected<Quote>::failure(healthy->error().message);
-    return quote_at(job, healthy->value().bandwidth, clock_hz(),
-                    "analytic model", healthy_set_);
+    return quote_at(job, healthy->value().bandwidth, clock_hz(), healthy_set_);
   }
   const auto est = model_estimate(job.kind, faults);
   if (!est) return util::Expected<Quote>::failure(est.error().message);
-  return quote_at(job, est.value().bandwidth, clock_hz(), "analytic model",
+  return quote_at(job, est.value().bandwidth, clock_hz(),
                   faults.surviving_controllers(cfg_.map.spec()));
 }
 

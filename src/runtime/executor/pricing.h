@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "arch/numa.h"
 #include "runtime/executor/job.h"
 #include "sim/analytic.h"
 #include "sim/faults.h"
@@ -57,25 +56,6 @@ class PricingModel {
   /// the healthy table built at construction.
   [[nodiscard]] util::Expected<sim::AnalyticEstimate> estimate(
       JobKind kind, const sim::FaultSpec& faults) const;
-
-  /// Node-analogue of estimate(): shards the kind's streams over the
-  /// believed-surviving socket memory domains (the NUMA planner's priced
-  /// placement — orphaned compute sockets rehome to the nearest survivor)
-  /// and runs the node analytic model with every socket computing at
-  /// pricing_threads strands. Fails recoverably when no socket's memory
-  /// survives.
-  [[nodiscard]] util::Expected<sim::NodeEstimate> estimate_node(
-      JobKind kind, const arch::NodeTopology& node,
-      const sim::FaultSpec& faults) const;
-
-  /// Node-aware price(): a node-wide job quoted at the node's composed
-  /// bandwidth. Socket loss or link degradation shrinks the quoted
-  /// bandwidth, so the same traffic prices to more service cycles and the
-  /// admission gate sheds sooner — capacity follows the fault state with no
-  /// executor changes. Quote::plan_set holds the surviving socket indices.
-  [[nodiscard]] util::Expected<Quote> price_node(
-      const JobSpec& job, const arch::NodeTopology& node,
-      const sim::FaultSpec& faults) const;
 
   /// Total memory traffic of a job in bytes (reads + RFO + write-backs),
   /// the numerator of every quote and of the soak's goodput accounting.

@@ -206,28 +206,6 @@ void ReplanProtocol::reset_belief(sim::FaultSpec planned) {
   pending_count_ = 0;
 }
 
-ReplanProtocol::Snapshot ReplanProtocol::snapshot() const {
-  Snapshot s;
-  s.planned_against = planned_against_;
-  s.pending_diag = pending_diag_;
-  s.pending_count = pending_count_;
-  s.quiet_count = quiet_count_;
-  s.replans = replans_;
-  s.suppressed = suppressed_;
-  s.backoff = backoff_.snapshot();
-  return s;
-}
-
-void ReplanProtocol::restore(const Snapshot& snap) {
-  planned_against_ = snap.planned_against;
-  pending_diag_ = snap.pending_diag;
-  pending_count_ = snap.pending_count;
-  quiet_count_ = snap.quiet_count;
-  replans_ = snap.replans;
-  suppressed_ = snap.suppressed;
-  backoff_.restore(snap.backoff);
-}
-
 // ---------------------------------------------------------------------------
 // Supervisor
 
@@ -628,41 +606,6 @@ void NodeSupervisor::advance_ramps(const sim::FaultSpec& diag,
     util::log_info("nodesup: readmit complete socket=" + std::to_string(s) +
                    " at=" + std::to_string(now));
   }
-}
-
-NodeSupervisor::Snapshot NodeSupervisor::snapshot() const {
-  Snapshot s;
-  static_cast<ReplanProtocol::Snapshot&>(s) = ReplanProtocol::snapshot();
-  s.gates.reserve(gates_.size());
-  for (const util::CircuitBreaker& g : gates_) s.gates.push_back(g.snapshot());
-  s.ramp_left = ramp_left_;
-  s.ramp_factor = ramp_factor_;
-  s.probes = probes_;
-  s.probe_failures = probe_failures_;
-  s.recoveries = recoveries_;
-  s.readmissions = readmissions_;
-  return s;
-}
-
-util::Status NodeSupervisor::restore(const Snapshot& snap) {
-  if (snap.gates.size() != gates_.size() ||
-      snap.ramp_left.size() != ramp_left_.size() ||
-      snap.ramp_factor.size() != ramp_factor_.size())
-    return util::Status::failure(
-        "NodeSupervisor: snapshot covers " +
-        std::to_string(snap.gates.size()) + " sockets, topology has " +
-        std::to_string(gates_.size()));
-  const auto entry = enter();
-  ReplanProtocol::restore(snap);
-  for (std::size_t i = 0; i < gates_.size(); ++i)
-    gates_[i].restore(snap.gates[i]);
-  ramp_left_ = snap.ramp_left;
-  ramp_factor_ = snap.ramp_factor;
-  probes_ = snap.probes;
-  probe_failures_ = snap.probe_failures;
-  recoveries_ = snap.recoveries;
-  readmissions_ = snap.readmissions;
-  return util::Status{};
 }
 
 }  // namespace mcopt::runtime

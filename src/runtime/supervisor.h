@@ -204,19 +204,6 @@ class ReplanProtocol {
     return backoff_;
   }
 
-  /// Complete protocol state, for durable snapshots.
-  struct Snapshot {
-    sim::FaultSpec planned_against;
-    sim::FaultSpec pending_diag;
-    unsigned pending_count = 0;
-    unsigned quiet_count = 0;
-    unsigned replans = 0;
-    unsigned suppressed = 0;
-    util::Backoff::Snapshot backoff;
-  };
-  [[nodiscard]] Snapshot snapshot() const;
-  void restore(const Snapshot& snap);
-
  private:
   unsigned stable_window_;
   unsigned quiet_reset_;
@@ -435,27 +422,6 @@ class NodeSupervisor : private ReplanProtocol {
   /// sockets. observe() passes planned_against() as the prior.
   [[nodiscard]] sim::FaultSpec diagnose(const NodeSample& sample,
                                         const sim::FaultSpec& prior) const;
-
-  /// Complete mutable state — quarantine beliefs, probe-gate breakers,
-  /// re-admission ramps, debounce, backoff, counters — for durable
-  /// snapshots. A restarted process restores this into a NodeSupervisor
-  /// constructed with the same config/topology/seed and continues the
-  /// probe-and-ramp schedule instead of relearning socket health from
-  /// scratch.
-  struct Snapshot : ReplanProtocol::Snapshot {
-    std::vector<util::CircuitBreaker::Snapshot> gates;
-    std::vector<unsigned> ramp_left;
-    std::vector<double> ramp_factor;
-    unsigned probes = 0;
-    unsigned probe_failures = 0;
-    unsigned recoveries = 0;
-    unsigned readmissions = 0;
-  };
-
-  [[nodiscard]] Snapshot snapshot() const;
-  /// Restores a snapshot(); fails when the snapshot's socket count does not
-  /// match this supervisor's topology.
-  [[nodiscard]] util::Status restore(const Snapshot& snap);
 
  private:
   /// Steps every active re-admission ramp one window (unless `diag` flags

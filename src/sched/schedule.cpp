@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <stdexcept>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace mcopt::sched {
 
 std::string Schedule::describe() const {
@@ -29,6 +33,24 @@ util::Status Schedule::check() const {
 }
 
 void Schedule::validate() const { check().throw_if_failed(); }
+
+void apply_omp_schedule(const Schedule& schedule) {
+#ifdef _OPENMP
+  switch (schedule.kind) {
+    case ScheduleKind::kStatic:
+      omp_set_schedule(omp_sched_static, 0);
+      break;
+    case ScheduleKind::kStaticChunk:
+      omp_set_schedule(omp_sched_static, static_cast<int>(schedule.chunk));
+      break;
+    case ScheduleKind::kDynamic:
+      omp_set_schedule(omp_sched_dynamic, static_cast<int>(schedule.chunk));
+      break;
+  }
+#else
+  (void)schedule;
+#endif
+}
 
 std::vector<IterRange> chunks_for_thread(std::size_t n, unsigned num_threads,
                                          unsigned t, const Schedule& schedule) {

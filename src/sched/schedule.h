@@ -51,6 +51,10 @@ struct Schedule {
   void validate() const;
 };
 
+/// Sets the OpenMP runtime schedule to `schedule`, for loops declared
+/// `schedule(runtime)`; a no-op without OpenMP.
+void apply_omp_schedule(const Schedule& schedule);
+
 /// Chunks executed by thread `t` of `num_threads` over `n` iterations,
 /// in execution order. Matches libgomp semantics for the static schedules.
 [[nodiscard]] std::vector<IterRange> chunks_for_thread(std::size_t n,

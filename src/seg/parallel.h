@@ -13,39 +13,13 @@
 #include "seg/seg_array.h"
 #include "sched/schedule.h"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace mcopt::seg {
-
-namespace detail {
-
-inline void apply_omp_schedule(const sched::Schedule& schedule) {
-#ifdef _OPENMP
-  switch (schedule.kind) {
-    case sched::ScheduleKind::kStatic:
-      omp_set_schedule(omp_sched_static, 0);
-      break;
-    case sched::ScheduleKind::kStaticChunk:
-      omp_set_schedule(omp_sched_static, static_cast<int>(schedule.chunk));
-      break;
-    case sched::ScheduleKind::kDynamic:
-      omp_set_schedule(omp_sched_dynamic, static_cast<int>(schedule.chunk));
-      break;
-  }
-#else
-  (void)schedule;
-#endif
-}
-
-}  // namespace detail
 
 /// Applies f(element&) to every element, parallel over segments.
 template <typename T, typename F>
 void par_for_each(seg_array<T>& a, F f,
                   const sched::Schedule& schedule = sched::Schedule::static_block()) {
-  detail::apply_omp_schedule(schedule);
+  sched::apply_omp_schedule(schedule);
   const auto segments = static_cast<std::ptrdiff_t>(a.num_segments());
 #pragma omp parallel for schedule(runtime)
   for (std::ptrdiff_t s = 0; s < segments; ++s) {
@@ -67,7 +41,7 @@ void par_transform(const seg_array<T>& in, seg_array<T>& out, UnaryOp op,
                    const sched::Schedule& schedule = sched::Schedule::static_block()) {
   if (in.num_segments() != out.num_segments())
     throw std::invalid_argument("par_transform: segmentation mismatch");
-  detail::apply_omp_schedule(schedule);
+  sched::apply_omp_schedule(schedule);
   const auto segments = static_cast<std::ptrdiff_t>(in.num_segments());
 #pragma omp parallel for schedule(runtime)
   for (std::ptrdiff_t s = 0; s < segments; ++s) {
@@ -84,7 +58,7 @@ void par_transform(const seg_array<T>& in, seg_array<T>& out, UnaryOp op,
 template <typename T>
 T par_sum(const seg_array<T>& a,
           const sched::Schedule& schedule = sched::Schedule::static_block()) {
-  detail::apply_omp_schedule(schedule);
+  sched::apply_omp_schedule(schedule);
   const auto segments = static_cast<std::ptrdiff_t>(a.num_segments());
   T total{};
 #pragma omp parallel for schedule(runtime) reduction(+ : total)

@@ -173,63 +173,19 @@ std::uint64_t socket_closed_form(std::span<const AnalyticStream> streams,
   return remote_lines;
 }
 
-/// Adds `from * weight` into `into`, entry by entry (growing `into` with
-/// zeros as needed).
-void add_weighted(std::vector<double>& into, const std::vector<double>& from,
-                  double weight) {
-  if (into.size() < from.size()) into.resize(from.size(), 0.0);
-  for (std::size_t i = 0; i < from.size(); ++i) into[i] += from[i] * weight;
-}
-
+/// Adds `from * weight` into `into`, field by field (growing
+/// `into.mc_utilization` with zeros as needed).
 void add_weighted(AnalyticEstimate& into, const AnalyticEstimate& from,
                   double weight) {
   into.bandwidth += from.bandwidth * weight;
   into.service_bandwidth += from.service_bandwidth * weight;
   into.latency_bandwidth += from.latency_bandwidth * weight;
   into.balance += from.balance * weight;
-  add_weighted(into.mc_utilization, from.mc_utilization, weight);
-}
-
-void add_weighted(NodeEstimate& into, const NodeEstimate& from, double weight) {
-  into.bandwidth += from.bandwidth * weight;
-  into.remote_fraction += from.remote_fraction * weight;
-  if (into.sockets.size() < from.sockets.size())
-    into.sockets.resize(from.sockets.size());
-  for (std::size_t s = 0; s < from.sockets.size(); ++s) {
-    add_weighted(into.sockets[s].chip, from.sockets[s].chip, weight);
-    add_weighted(into.sockets[s].link_utilization,
-                 from.sockets[s].link_utilization, weight);
-    into.sockets[s].remote_fraction += from.sockets[s].remote_fraction * weight;
-    into.sockets[s].bytes_per_period +=
-        from.sockets[s].bytes_per_period * weight;
-  }
-}
-
-/// Evaluates `model` (FaultSpec -> Estimate) once per epoch of `schedule`
-/// over [0, horizon) and composes the epochs with epoch-length weights: the
-/// one epoch-weighting loop of both scheduled entries. `who` prefixes the
-/// argument errors.
-template <class Estimate, class Model>
-Scheduled<Estimate> compose_epochs(const char* who, const FaultSpec& baseline,
-                                   const FaultSchedule& schedule,
-                                   arch::Cycles horizon, const Model& model) {
-  if (schedule.has_relative())
-    throw std::invalid_argument(std::string(who) +
-                                ": schedule has unresolved percent bounds");
-  if (horizon == 0 || horizon == FaultSchedule::kNever)
-    throw std::invalid_argument(std::string(who) +
-                                ": horizon must be a finite run length");
-
-  Scheduled<Estimate> out;
-  for (const FaultSchedule::Epoch& e : schedule.epochs(horizon, baseline)) {
-    typename Scheduled<Estimate>::EpochEstimate epoch{
-        e.begin, e.end, e.faults.describe(), model(e.faults)};
-    add_weighted(out.whole, epoch.estimate,
-                 static_cast<double>(e.end - e.begin) /
-                     static_cast<double>(horizon));
-    out.epochs.push_back(std::move(epoch));
-  }
-  return out;
+  std::vector<double>& util = into.mc_utilization;
+  if (util.size() < from.mc_utilization.size())
+    util.resize(from.mc_utilization.size(), 0.0);
+  for (std::size_t c = 0; c < from.mc_utilization.size(); ++c)
+    util[c] += from.mc_utilization[c] * weight;
 }
 
 }  // namespace
@@ -252,12 +208,25 @@ ScheduledEstimate estimate_bandwidth_scheduled(
     const arch::Calibration& cal, const arch::AddressMap& map,
     double clock_ghz, const FaultSpec& baseline, const FaultSchedule& schedule,
     arch::Cycles horizon) {
-  return compose_epochs<AnalyticEstimate>(
-      "estimate_bandwidth_scheduled", baseline, schedule, horizon,
-      [&](const FaultSpec& faults) {
-        return estimate_bandwidth(streams, num_threads, cal, map, clock_ghz,
-                                  faults);
-      });
+  if (schedule.has_relative())
+    throw std::invalid_argument(
+        "estimate_bandwidth_scheduled: schedule has unresolved percent bounds");
+  if (horizon == 0 || horizon == FaultSchedule::kNever)
+    throw std::invalid_argument(
+        "estimate_bandwidth_scheduled: horizon must be a finite run length");
+
+  ScheduledEstimate out;
+  for (const FaultSchedule::Epoch& e : schedule.epochs(horizon, baseline)) {
+    ScheduledEstimate::EpochEstimate epoch{
+        e.begin, e.end, e.faults.describe(),
+        estimate_bandwidth(streams, num_threads, cal, map, clock_ghz,
+                           e.faults)};
+    add_weighted(out.whole, epoch.estimate,
+                 static_cast<double>(e.end - e.begin) /
+                     static_cast<double>(horizon));
+    out.epochs.push_back(std::move(epoch));
+  }
+  return out;
 }
 
 NodeEstimate estimate_node_bandwidth(
@@ -304,20 +273,6 @@ NodeEstimate estimate_node_bandwidth(
   out.remote_fraction =
       total_bytes > 0.0 ? remote_bytes / total_bytes : 0.0;
   return out;
-}
-
-ScheduledNodeEstimate estimate_node_bandwidth_scheduled(
-    std::span<const std::vector<AnalyticStream>> socket_streams,
-    std::span<const unsigned> socket_threads, const arch::Calibration& cal,
-    const arch::AddressMap& map, const arch::NodeTopology& node,
-    double clock_ghz, const FaultSpec& baseline, const FaultSchedule& schedule,
-    arch::Cycles horizon) {
-  return compose_epochs<NodeEstimate>(
-      "estimate_node_bandwidth_scheduled", baseline, schedule, horizon,
-      [&](const FaultSpec& faults) {
-        return estimate_node_bandwidth(socket_streams, socket_threads, cal, map,
-                                       node, clock_ghz, faults);
-      });
 }
 
 }  // namespace mcopt::sim

@@ -20,9 +20,8 @@
 //     one-socket node's .bandwidth: its makespan composition
 //     (bytes / (bytes / bw * hz) * hz) can differ in the last bit.
 //   * estimate_node_bandwidth: every socket's closed form plus the makespan.
-//   * the *_scheduled entries: one epoch-weighting loop over a fault
-//     schedule (Scheduled<Estimate>); the chip's equals socket 0 of the
-//     one-socket node's.
+//   * estimate_bandwidth_scheduled: the chip's closed form once per epoch of
+//     a fault schedule, weighted by epoch length.
 
 #include <cstdint>
 #include <span>
@@ -88,19 +87,17 @@ struct AnalyticEstimate {
 /// boundaries = fault transitions over [0, horizon)) and composed with
 /// epoch-length weights — whole-run bytes are sum(bandwidth_e * length_e),
 /// so `whole.bandwidth` is the time-weighted mean the DES should approach.
-/// Every field of the estimate (per socket, on the node) is weighted alike.
-template <class Estimate>
-struct Scheduled {
+/// Every field of the estimate is weighted alike.
+struct ScheduledEstimate {
   struct EpochEstimate {
     arch::Cycles begin = 0;
     arch::Cycles end = 0;
     std::string faults;  ///< merged active spec, FaultSpec::describe()
-    Estimate estimate;
+    AnalyticEstimate estimate;
   };
   std::vector<EpochEstimate> epochs;
-  Estimate whole;  ///< epoch-length-weighted composition
+  AnalyticEstimate whole;  ///< epoch-length-weighted composition
 };
-using ScheduledEstimate = Scheduled<AnalyticEstimate>;
 
 /// `schedule` must be resolved (no percent bounds); `horizon` is the run
 /// length in cycles the weights are taken over. `baseline` faults apply to
@@ -157,16 +154,5 @@ struct NodeEstimate {
     std::span<const unsigned> socket_threads, const arch::Calibration& cal,
     const arch::AddressMap& map, const arch::NodeTopology& node,
     double clock_ghz, const FaultSpec& faults = {});
-
-/// Epoch-resolved composition over a transient-fault schedule (the node
-/// analogue of estimate_bandwidth_scheduled, and the same weighting loop).
-using ScheduledNodeEstimate = Scheduled<NodeEstimate>;
-
-[[nodiscard]] ScheduledNodeEstimate estimate_node_bandwidth_scheduled(
-    std::span<const std::vector<AnalyticStream>> socket_streams,
-    std::span<const unsigned> socket_threads, const arch::Calibration& cal,
-    const arch::AddressMap& map, const arch::NodeTopology& node,
-    double clock_ghz, const FaultSpec& baseline, const FaultSchedule& schedule,
-    arch::Cycles horizon);
 
 }  // namespace mcopt::sim

@@ -288,22 +288,6 @@ FaultSchedule FaultSchedule::constant(const FaultSpec& spec) {
 
 namespace {
 
-/// Splits "a,b,c" into trimmed non-empty items (mirrors FaultSpec::parse).
-std::vector<std::string> split_items(const std::string& text) {
-  std::vector<std::string> items;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) comma = text.size();
-    std::string item = text.substr(start, comma - start);
-    const auto lo = item.find_first_not_of(" \t");
-    const auto hi = item.find_last_not_of(" \t");
-    if (lo != std::string::npos) items.push_back(item.substr(lo, hi - lo + 1));
-    start = comma + 1;
-  }
-  return items;
-}
-
 struct Bound {
   double value = 0.0;   // cycles, or fraction in [0,1] when percent
   bool percent = false;
@@ -349,7 +333,7 @@ util::Expected<FaultSchedule> FaultSchedule::parse(const std::string& text,
                                                    const FaultLimits& limits) {
   using Result = util::Expected<FaultSchedule>;
   FaultSchedule sched;
-  for (const std::string& item : split_items(text)) {
+  for (const std::string& item : split_fault_items(text)) {
     const std::size_t at = item.find('@');
     const std::string fault_text = item.substr(0, at);
 

@@ -306,10 +306,7 @@ std::string FaultSpec::describe() const {
   return out;
 }
 
-namespace {
-
-/// Splits "a,b,c" into trimmed non-empty items.
-std::vector<std::string> split_items(const std::string& text) {
+std::vector<std::string> split_fault_items(const std::string& text) {
   std::vector<std::string> items;
   std::size_t start = 0;
   while (start <= text.size()) {
@@ -323,6 +320,8 @@ std::vector<std::string> split_items(const std::string& text) {
   }
   return items;
 }
+
+namespace {
 
 /// Parses the digits after a known prefix; false on junk.
 bool parse_index(const std::string& text, const char* prefix, unsigned& index,
@@ -365,7 +364,7 @@ util::Expected<FaultSpec> FaultSpec::parse(const std::string& text,
                   ")");
     return status;
   };
-  for (const std::string& item : split_items(text)) {
+  for (const std::string& item : split_fault_items(text)) {
     const std::size_t colon = item.find(':');
     if (colon == std::string::npos)
       return Result::failure("FaultSpec: '" + item +

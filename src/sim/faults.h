@@ -213,4 +213,9 @@ struct FaultSpec {
                                                        const FaultLimits& limits);
 };
 
+/// Splits "a,b,c" into trimmed non-empty items: the item splitter of the
+/// `--fault` grammar (FaultSpec::parse) and the `--schedule` grammar
+/// (FaultSchedule::parse).
+[[nodiscard]] std::vector<std::string> split_fault_items(const std::string& text);
+
 }  // namespace mcopt::sim

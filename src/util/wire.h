@@ -5,11 +5,15 @@
 // as their IEEE-754 bit pattern, so values that feed replayed arithmetic
 // (token buckets, derate factors) round-trip bit-identically.
 
+#include <cerrno>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include "util/expected.h"
 
 namespace mcopt::util::wire {
 
@@ -28,12 +32,6 @@ inline void put_f64(std::vector<std::uint8_t>& out, double v) {
   static_assert(sizeof bits == sizeof v);
   std::memcpy(&bits, &v, sizeof bits);
   put_u64(out, bits);
-}
-
-/// A u32 length followed by the bytes.
-inline void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
 }
 
 [[nodiscard]] inline std::uint32_t get_u32(const std::uint8_t* p) {
@@ -90,14 +88,29 @@ struct Reader {
     at += 8;
     return v;
   }
-  std::string str() {
-    const std::uint32_t len = u32();
-    if (!need(len)) return {};
-    std::string s(reinterpret_cast<const char*>(p + at), len);
-    at += len;
-    return s;
-  }
   [[nodiscard]] bool done() const { return ok && at == size; }
 };
+
+/// Reads the whole file at `path`. A failure names the format `who` and the
+/// path: "<who>: cannot open '<path>': <reason>" or
+/// "<who>: read error on '<path>'".
+[[nodiscard]] inline util::Expected<std::vector<std::uint8_t>> read_file(
+    const std::string& path, const char* who) {
+  using Result = util::Expected<std::vector<std::uint8_t>>;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr)
+    return Result::failure(std::string(who) + ": cannot open '" + path +
+                           "': " + std::strerror(errno));
+  std::vector<std::uint8_t> bytes;
+  std::uint8_t buf[1 << 16];
+  std::size_t got;
+  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
+    bytes.insert(bytes.end(), buf, buf + got);
+  const bool read_error = std::ferror(f) != 0;
+  std::fclose(f);
+  if (read_error)
+    return Result::failure(std::string(who) + ": read error on '" + path + "'");
+  return bytes;
+}
 
 }  // namespace mcopt::util::wire

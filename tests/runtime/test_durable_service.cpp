@@ -1,9 +1,8 @@
 // Durable service runtime: the persistent submission API, quiesce/drain,
 // and the crash-consistent restart contract — journaled completions are
 // never re-run, duplicates dedupe by submission id, door verdicts replay
-// bit-identically, tenant ledgers and NodeSupervisor beliefs survive the
-// snapshot, and every corruption shape is a typed refusal, never a silently
-// wrong restart. In-process "crashes" destroy the handle without drain()
+// bit-identically, tenant ledgers survive the snapshot, and every corruption
+// shape is a typed refusal, never a silently wrong restart. In-process "crashes" destroy the handle without drain()
 // (the destructor deliberately skips commit/seal); the true SIGKILL path is
 // tests/integration/test_durability_regression.cpp.
 
@@ -24,10 +23,10 @@
 #include "obs/attribution.h"
 #include "runtime/checkpoint.h"
 #include "runtime/durable/state.h"
-#include "runtime/supervisor.h"
 #include "util/backoff.h"
 #include "util/crc.h"
 #include "util/prng.h"
+#include "util/wire.h"
 
 namespace mcopt::runtime::durable {
 namespace {
@@ -554,102 +553,6 @@ TEST_F(DurableServiceTest, SigtermLatchesTheQuiesceFlag) {
   (void)std::signal(SIGTERM, SIG_DFL);
 }
 
-// --- NodeSupervisor beliefs ride the snapshot ------------------------------
-
-arch::NodeTopology two_sockets() { return arch::NodeTopology{}; }
-
-NodeSample dead_socket_sample(unsigned dead, unsigned serving) {
-  NodeSample s;
-  s.begin = 0;
-  s.end = 1000000;
-  s.socket_utilization = {0.6, 0.6};
-  s.socket_utilization[dead] = 0.01;
-  s.link_utilization.assign(2, std::vector<double>(2, 0.0));
-  s.link_line_cost.assign(2, std::vector<double>(2, 0.0));
-  s.link_utilization[dead][serving] = 0.8;
-  s.link_line_cost[dead][serving] = 16.0;
-  return s;
-}
-
-TEST_F(DurableServiceTest, NodeSupervisorBeliefsSurviveRestart) {
-  const std::string d = subdir("svc");
-  NodeDetectorConfig det;
-  det.stable_window = 2;
-  {
-    NodeSupervisor sup(det, two_sockets(), 7);
-    (void)sup.observe(dead_socket_sample(1, 0));
-    const NodeDecision dec = sup.observe(dead_socket_sample(1, 0));
-    ASSERT_EQ(dec.action, Action::kReplan);
-    sup.commit(2000000);
-    ASSERT_TRUE(sup.planned_against().is_socket_offline(1));
-
-    auto h = ServiceHandle::open(base_config(d));
-    ASSERT_TRUE(h.has_value());
-    ASSERT_TRUE(h.value()->attach_node_supervisor(&sup).ok());
-    submit_range(*h.value(), 1, 4);
-    ASSERT_TRUE(h.value()->checkpoint().ok());
-  }
-  // Restart: a freshly constructed supervisor (same config/topology/seed)
-  // inherits the quarantine instead of relearning it.
-  auto h = ServiceHandle::open(base_config(d));
-  ASSERT_TRUE(h.has_value()) << h.error().message;
-  NodeSupervisor fresh(det, two_sockets(), 7);
-  EXPECT_FALSE(fresh.planned_against().is_socket_offline(1));
-  ASSERT_TRUE(h.value()->attach_node_supervisor(&fresh).ok());
-  EXPECT_TRUE(fresh.planned_against().is_socket_offline(1));
-  EXPECT_EQ(fresh.replans(), 1u);
-}
-
-/// A node-supervisor snapshot with every field away from its default, for
-/// pinning the state-image bytes.
-NodeSupervisor::Snapshot pinned_node_snapshot() {
-  NodeSupervisor::Snapshot s;
-  s.planned_against = sim::FaultSpec::parse("sock1:off").value();
-  s.pending_diag =
-      sim::FaultSpec::parse("sock1:off,link0-1:derate=0.375").value();
-  s.pending_count = 3;
-  s.quiet_count = 1;
-  s.replans = 2;
-  s.suppressed = 5;
-  s.backoff = {1.5, 2, 424242, {1, 2, 3, 4}};
-  util::CircuitBreaker::Snapshot open_gate;
-  open_gate.backoff = {0.1 + 0.2, 1, 99, {5, 6, 7, 8}};
-  open_gate.consecutive_failures = 1;
-  open_gate.state = 2;
-  s.gates = {util::CircuitBreaker::Snapshot{}, open_gate};
-  s.ramp_left = {0, 2};
-  s.ramp_factor = {1.0, 0.5};
-  s.probes = 4;
-  s.probe_failures = 1;
-  s.recoveries = 1;
-  return s;
-}
-
-TEST_F(DurableServiceTest, NodeSupervisorSnapshotEncodesToPinnedBytes) {
-  // Image v2's node-supervisor section, byte for byte: it still carries the
-  // pending diagnosis's describe() string, which the writer now derives
-  // from the diagnosis and the reader skips.
-  StateImage im;
-  im.has_node_supervisor = true;
-  im.node_supervisor = pinned_node_snapshot();
-  const std::string p = subdir("pinned.mcpt");
-  ASSERT_TRUE(save_state(p, im).ok());
-  const auto ckpt = load_checkpoint(p);
-  ASSERT_TRUE(ckpt.has_value()) << ckpt.error().message;
-  ASSERT_EQ(ckpt.value().sections.size(), 3u);
-  const std::vector<std::uint8_t>& section = ckpt.value().sections[2];
-  EXPECT_EQ(section.size(), 358u);
-  EXPECT_EQ(util::crc32c(section.data(), section.size()), 0x7d66f510u);
-
-  const auto back = load_state(p);
-  ASSERT_TRUE(back.has_value()) << back.error().message;
-  const NodeSupervisor::Snapshot& got = back.value().node_supervisor;
-  EXPECT_EQ(got.pending_diag.describe(), "sock1:off link0-1:derate=0.375");
-  EXPECT_EQ(got.pending_count, 3u);
-  EXPECT_EQ(got.gates[1].backoff.current, 0.1 + 0.2);  // bit-exact
-  EXPECT_EQ(got.ramp_left, (std::vector<unsigned>{0, 2}));
-}
-
 // --- state image primitives ------------------------------------------------
 
 TEST_F(DurableServiceTest, StateImageRoundTripsBitExactly) {
@@ -691,7 +594,6 @@ TEST_F(DurableServiceTest, StateImageRoundTripsBitExactly) {
   EXPECT_EQ(got.door.tenants[0].breaker.backoff.rng, rng.state());
   EXPECT_EQ(got.clocks.admit_tail, 3u);
   EXPECT_EQ(got.ledger[0].served_bytes, 500u);
-  EXPECT_FALSE(got.has_node_supervisor);
 }
 
 TEST_F(DurableServiceTest, StateImageCarriesTheAttributionSection) {
@@ -729,42 +631,103 @@ TEST_F(DurableServiceTest, UnknownStateSectionFlagsAreATypedRefusal) {
   im.snapshot_id = 1;
   const std::string p = subdir("flags.mcpt");
   ASSERT_TRUE(save_state(p, im).ok());
-
-  // A future writer sets a section flag this build does not know. Loading
-  // must refuse — skipping an unknown section would drop state silently.
   auto ckpt = load_checkpoint(p);
   ASSERT_TRUE(ckpt.has_value());
-  Checkpoint doctored = ckpt.value();
-  doctored.user[1] |= std::uint64_t{1} << 7;
-  ASSERT_TRUE(save_checkpoint(p, doctored).ok());
-  auto refused = load_state(p);
-  ASSERT_FALSE(refused.has_value());
-  EXPECT_NE(refused.error().message.find("unknown section flags"),
-            std::string::npos)
-      << refused.error().message;
+
+  // A future writer sets a section flag this build does not know, or an old
+  // one sets the retired bit 0. Loading must refuse — skipping an unknown
+  // section would drop state silently.
+  for (const unsigned bit : {0u, 7u}) {
+    Checkpoint doctored = ckpt.value();
+    doctored.user[1] |= std::uint64_t{1} << bit;
+    ASSERT_TRUE(save_checkpoint(p, doctored).ok());
+    auto refused = load_state(p);
+    ASSERT_FALSE(refused.has_value()) << "bit " << bit;
+    EXPECT_NE(refused.error().message.find("unknown section flags"),
+              std::string::npos)
+        << refused.error().message;
+  }
 }
 
-TEST_F(DurableServiceTest, V1StateImagesStillLoad) {
-  // A v1 image is a v2 image without the new sections and with the version
-  // word dialed back — exactly what a pre-attribution build wrote.
+TEST_F(DurableServiceTest, StateImageVersionsOtherThanTheCurrentAreRefused) {
   StateImage im;
-  im.snapshot_id = 4;
-  im.max_submission_id = 55;
+  im.snapshot_id = 1;
   im.door.tenants.resize(1);
-  im.ledger = {TenantLedger{3, 300, 1}};
-  const std::string p = subdir("v1.mcpt");
+  im.ledger.resize(1);
+  const std::string p = subdir("version.mcpt");
   ASSERT_TRUE(save_state(p, im).ok());
   auto ckpt = load_checkpoint(p);
   ASSERT_TRUE(ckpt.has_value());
-  Checkpoint old = ckpt.value();
-  old.user[0] = 1;  // kStateImageMinVersion
-  ASSERT_TRUE(save_checkpoint(p, old).ok());
+  ASSERT_EQ(ckpt.value().user[0], kStateImageVersion);
 
-  auto back = load_state(p);
-  ASSERT_TRUE(back.has_value()) << back.error().message;
-  EXPECT_EQ(back.value().max_submission_id, 55u);
-  EXPECT_EQ(back.value().ledger[0].served_bytes, 300u);
-  EXPECT_FALSE(back.value().has_attribution);
+  for (const std::uint64_t version : {std::uint64_t{1}, std::uint64_t{3}}) {
+    Checkpoint doctored = ckpt.value();
+    doctored.user[0] = version;
+    ASSERT_TRUE(save_checkpoint(p, doctored).ok());
+    auto refused = load_state(p);
+    ASSERT_FALSE(refused.has_value()) << "version " << version << " accepted";
+    EXPECT_NE(refused.error().message.find("image version"), std::string::npos)
+        << refused.error().message;
+  }
+}
+
+/// A state image with every field of the three sections a ServiceHandle
+/// writes (core, ledger, attribution) away from its default.
+StateImage pinned_state_image() {
+  StateImage im;
+  im.snapshot_id = 7;
+  im.covered_sequence = 4242;
+  im.max_submission_id = 977;
+  im.door.door_clock = 123456789;
+  service::DoorTenantState t;
+  t.counters = {10, 1, 2, 7, 6, 123456789, 4096, 98765, 1};
+  t.breaker.backoff = {0.1 + 0.2, 1, 99, {5, 6, 7, 8}};
+  t.breaker.consecutive_failures = 1;
+  t.breaker.state = 2;
+  t.quota_level_bytes = 1.5e6;
+  t.last_refill = 55555;
+  im.door.tenants = {t, service::DoorTenantState{}};
+  im.clocks = {11, 22, 33};
+  im.ledger = {TenantLedger{5, 500, 1}, TenantLedger{2, 200, 3}};
+  obs::Attribution& attr = obs::Attribution::instance();
+  attr.reset();
+  attr.charge(1, 2, obs::Charge::kServed, 0, 4096);
+  attr.charge(2, -1, obs::Charge::kShed, 3, 512, 2);
+  im.has_attribution = true;
+  im.attribution = attr.encode();
+  attr.reset();
+  return im;
+}
+
+TEST_F(DurableServiceTest, StateImageEncodesToPinnedBytes) {
+  // The image format a ServiceHandle writes, byte for byte: version 2, the
+  // attribution flag, and the core, ledger and attribution sections. A
+  // change to any pin misreads the snapshots already on disk; a new format
+  // bumps kStateImageVersion instead.
+  const std::string p = subdir("pinned.mcpt");
+  ASSERT_TRUE(save_state(p, pinned_state_image()).ok());
+  const auto ckpt = load_checkpoint(p);
+  ASSERT_TRUE(ckpt.has_value()) << ckpt.error().message;
+  EXPECT_EQ(ckpt.value().user[0], 2u);
+  EXPECT_EQ(ckpt.value().user[1], kStateFlagAttribution);
+  const std::vector<std::vector<std::uint8_t>>& sections =
+      ckpt.value().sections;
+  ASSERT_EQ(sections.size(), 3u);
+  const std::size_t sizes[] = {348, 52, 88};
+  const std::uint32_t crcs[] = {0xed597a3fu, 0x58d6cba8u, 0xe5047c47u};
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    EXPECT_EQ(sections[i].size(), sizes[i]) << "section " << i;
+    EXPECT_EQ(util::crc32c(sections[i].data(), sections[i].size()), crcs[i])
+        << "section " << i << std::hex << " crc 0x"
+        << util::crc32c(sections[i].data(), sections[i].size());
+  }
+
+  const auto file = util::wire::read_file(p, "state image");
+  ASSERT_TRUE(file.has_value()) << file.error().message;
+  const std::vector<std::uint8_t>& bytes = file.value();
+  EXPECT_EQ(bytes.size(), 600u);
+  EXPECT_EQ(util::crc32c(bytes.data(), bytes.size()), 0x48674bc7u)
+      << std::hex << "file crc 0x" << util::crc32c(bytes.data(), bytes.size());
 }
 
 TEST_F(DurableServiceTest, AttributionReconcilesWithLedgerAcrossCrashReplay) {

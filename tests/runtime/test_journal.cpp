@@ -204,6 +204,10 @@ TEST_F(JournalTest, PayloadDecodersRejectWrongSizes) {
   EXPECT_FALSE(CompletionRecord::decode(junk).has_value());
   EXPECT_FALSE(ShedRecord::decode(junk).has_value());
   EXPECT_FALSE(SnapshotMarkRecord::decode(junk).has_value());
+  // 64 bytes is the retired v1 layout without the trace context: damage too.
+  std::vector<std::uint8_t> v1_submission = SubmissionRecord{}.encode();
+  v1_submission.resize(64);
+  EXPECT_FALSE(SubmissionRecord::decode(v1_submission).has_value());
 
   SubmissionRecord s;
   s.submission_id = 77;
@@ -260,7 +264,7 @@ TEST_F(JournalTest, WriterAndRecoveryAdvanceRegistryCounters) {
   EXPECT_EQ(recoveries.value() - recoveries0, 2u);
 }
 
-// --- version compatibility (journal v2 trace context) ----------------------
+// --- format version (journal v2 trace context) ----------------------------
 
 /// Hand-built journal header with an arbitrary version stamp.
 std::vector<std::uint8_t> make_header(std::uint32_t version,
@@ -271,19 +275,6 @@ std::vector<std::uint8_t> make_header(std::uint32_t version,
   wire::put_u64(h, user);
   wire::put_u32(h, util::crc32c(h.data(), h.size()));
   return h;
-}
-
-/// Hand-built record frame (prefix + payload + CRC), matching the writer's
-/// on-disk layout byte for byte.
-void append_frame(std::vector<std::uint8_t>& out, RecordType t,
-                  std::uint64_t seq, const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> frame;
-  wire::put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  wire::put_u32(frame, static_cast<std::uint32_t>(t));
-  wire::put_u64(frame, seq);
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  wire::put_u32(frame, util::crc32c(frame.data(), frame.size()));
-  out.insert(out.end(), frame.begin(), frame.end());
 }
 
 TEST_F(JournalTest, SubmissionRecordRoundTripsTraceContext) {
@@ -299,25 +290,6 @@ TEST_F(JournalTest, SubmissionRecordRoundTripsTraceContext) {
   EXPECT_EQ(back.value().parent_span, 0x42u);
 }
 
-TEST_F(JournalTest, V1SubmissionPayloadDecodesWithZeroTraceContext) {
-  SubmissionRecord s;
-  s.submission_id = 21;
-  s.tenant = 3;
-  s.n = 8192;
-  s.arrival = 777;
-  s.trace_id = 0x1111;  // must be SHED by the 64-byte truncation below
-  std::vector<std::uint8_t> v1 = s.encode();
-  v1.resize(64);  // exactly the v1 payload: v2 appended the context at the end
-  auto back = SubmissionRecord::decode(v1);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back.value().submission_id, 21u);
-  EXPECT_EQ(back.value().tenant, 3u);
-  EXPECT_EQ(back.value().n, 8192u);
-  EXPECT_EQ(back.value().arrival, 777u);
-  EXPECT_EQ(back.value().trace_id, 0u);
-  EXPECT_EQ(back.value().parent_span, 0u);
-}
-
 TEST_F(JournalTest, CompletionRecordRoundTripsPlanMask) {
   CompletionRecord c;
   c.submission_id = 5;
@@ -326,51 +298,17 @@ TEST_F(JournalTest, CompletionRecordRoundTripsPlanMask) {
   auto back = CompletionRecord::decode(c.encode());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back.value().plan_mask, 0b1010u);
-  // v1 wrote the spare word as zero; the same 32 bytes decode to an empty
-  // plan mask (replay charges the unknown-controller cell).
+  // A zero word decodes to an empty plan mask (replay charges the
+  // unknown-controller cell).
   c.plan_mask = 0;
   back = CompletionRecord::decode(c.encode());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back.value().plan_mask, 0u);
 }
 
-TEST_F(JournalTest, V1JournalRecoversUnmodified) {
-  // A journal exactly as a v1 writer left it: version 1 header, 64-byte
-  // submission payloads, completion spare word zero.
-  SubmissionRecord s;
-  s.submission_id = 1;
-  s.tenant = 2;
-  s.n = 4096;
-  std::vector<std::uint8_t> sub = s.encode();
-  sub.resize(64);
-  CompletionRecord c;
-  c.submission_id = 1;
-  c.served_bytes = 999;
-  std::vector<std::uint8_t> bytes = make_header(1, 42);
-  append_frame(bytes, RecordType::kSubmission, 1, sub);
-  append_frame(bytes, RecordType::kCompletion, 2, c.encode());
-  const std::string p = path("v1.mjnl");
-  write_file(p, bytes);
-
-  auto rec = recover_journal(p);
-  ASSERT_TRUE(rec.has_value()) << rec.error().message;
-  const JournalRecovery& r = rec.value();
-  EXPECT_EQ(r.version, 1u);
-  EXPECT_EQ(r.dropped_bytes, 0u);
-  ASSERT_EQ(r.records.size(), 2u);
-  auto sback = SubmissionRecord::decode(r.records[0].payload);
-  ASSERT_TRUE(sback.has_value());
-  EXPECT_EQ(sback.value().tenant, 2u);
-  EXPECT_EQ(sback.value().trace_id, 0u);
-  auto cback = CompletionRecord::decode(r.records[1].payload);
-  ASSERT_TRUE(cback.has_value());
-  EXPECT_EQ(cback.value().served_bytes, 999u);
-  EXPECT_EQ(cback.value().plan_mask, 0u);
-}
-
 TEST_F(JournalTest, VersionsOutsideTheReadRangeAreRefused) {
   for (const std::uint32_t bad :
-       {0u, kJournalVersion + 1, kJournalVersion + 100}) {
+       {0u, 1u, kJournalVersion + 1, kJournalVersion + 100}) {
     const std::string p = path("v" + std::to_string(bad) + ".mjnl");
     write_file(p, make_header(bad, 1));
     auto rec = recover_journal(p);
@@ -379,12 +317,10 @@ TEST_F(JournalTest, VersionsOutsideTheReadRangeAreRefused) {
       EXPECT_NE(rec.error().message.find("version"), std::string::npos)
           << rec.error().message;
   }
-  // Both ends of the supported range still open.
-  for (const std::uint32_t good : {kJournalMinVersion, kJournalVersion}) {
-    const std::string p = path("ok" + std::to_string(good) + ".mjnl");
-    write_file(p, make_header(good, 1));
-    EXPECT_TRUE(recover_journal(p).has_value()) << "version " << good;
-  }
+  // The one supported version still opens.
+  const std::string ok = path("ok.mjnl");
+  write_file(ok, make_header(kJournalVersion, 1));
+  EXPECT_TRUE(recover_journal(ok).has_value());
 }
 
 // --- fuzzing: truncation at every offset -----------------------------------

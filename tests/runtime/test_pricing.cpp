@@ -283,62 +283,5 @@ TEST(Pricing, RejectsDegenerateConfigs) {
                std::invalid_argument);
 }
 
-TEST(NodePricing, HealthyNodeOutPricesOneChip) {
-  const PricingModel model;
-  arch::NodeTopology node;  // 2 sockets
-  const JobSpec job = triad_job();
-  const auto chip = model.price(job, {});
-  const auto whole = model.price_node(job, node, {});
-  ASSERT_TRUE(chip);
-  ASSERT_TRUE(whole);
-  // Two sockets' worth of controllers serve the same traffic: quoted
-  // bandwidth grows and the virtual service cost shrinks.
-  EXPECT_GT(whole.value().bandwidth, 1.5 * chip.value().bandwidth);
-  EXPECT_LT(whole.value().service_cycles, chip.value().service_cycles);
-  EXPECT_EQ(whole.value().plan_set, (std::vector<unsigned>{0, 1}));
-}
-
-TEST(NodePricing, SocketLossShrinksAdmissionCapacity) {
-  const PricingModel model;
-  arch::NodeTopology node;  // 2 sockets
-  const JobSpec job = triad_job();
-  const auto healthy = model.price_node(job, node, {});
-  const auto degraded =
-      model.price_node(job, node, sim::FaultSpec::parse("sock1:off").value());
-  ASSERT_TRUE(healthy);
-  ASSERT_TRUE(degraded);
-  // Socket 1's shard now lives across the link: the same job quotes at a
-  // lower bandwidth, i.e. more service cycles — the admission gate sees the
-  // node's capacity shrink without any executor change.
-  EXPECT_LT(degraded.value().bandwidth, 0.7 * healthy.value().bandwidth);
-  EXPECT_GT(degraded.value().service_cycles, healthy.value().service_cycles);
-  EXPECT_EQ(degraded.value().plan_set, (std::vector<unsigned>{0}));
-}
-
-TEST(NodePricing, LinkDerateRaisesTheRemotePriceFurther) {
-  const PricingModel model;
-  arch::NodeTopology node;  // 2 sockets
-  const JobSpec job = triad_job();
-  const auto outage =
-      model.price_node(job, node, sim::FaultSpec::parse("sock1:off").value());
-  const auto outage_and_slow_link = model.price_node(
-      job, node,
-      sim::FaultSpec::parse("sock1:off,link0-1:derate=0.5").value());
-  ASSERT_TRUE(outage);
-  ASSERT_TRUE(outage_and_slow_link);
-  EXPECT_GT(outage_and_slow_link.value().service_cycles,
-            outage.value().service_cycles);
-}
-
-TEST(NodePricing, AllSocketMemoryDeadFailsRecoverably) {
-  const PricingModel model;
-  arch::NodeTopology node;  // 2 sockets
-  const auto quote = model.price_node(
-      triad_job(), node, sim::FaultSpec::parse("sock0:off,sock1:off").value());
-  ASSERT_FALSE(quote);
-  EXPECT_NE(quote.error().message.find("no surviving socket"),
-            std::string::npos);
-}
-
 }  // namespace
 }  // namespace mcopt::runtime::exec

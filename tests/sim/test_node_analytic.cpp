@@ -1,7 +1,6 @@
 // Closed-form NUMA model tests: the node estimate must reproduce the DES's
 // placement ordering (local > interleaved > remote), pin forced-remote
-// traffic at the link cap, track fault-driven routing, and compose over a
-// fault schedule with epoch-length weights.
+// traffic at the link cap, and track fault-driven routing.
 
 #include <gtest/gtest.h>
 
@@ -68,21 +67,13 @@ bool same_bits(const AnalyticEstimate& a, const AnalyticEstimate& b) {
 
 // The chip is the one-socket node. Over seeded random stream sets, strand
 // counts and controller fault states, every field of the chip estimate
-// equals socket 0 of the one-socket node bit for bit, and the scheduled chip
-// entry equals socket 0 of the one-socket schedule composition.
+// equals socket 0 of the one-socket node bit for bit.
 TEST(NodeAnalytic, SingleSocketReducesToChipModel) {
   arch::NodeTopology node;
   node.num_sockets = 1;
   const std::vector<FaultSpec> states = {
       FaultSpec{}, spec("mc1:off"), spec("mc2:derate=0.5"),
       spec("mc0:off,mc3:derate=0.3"), spec("mc1:off,mc2:off")};
-  constexpr arch::Cycles kHorizon = 1'000'000;
-  std::vector<FaultSchedule> schedules;
-  for (const char* text :
-       {"mc1:off@20%..70%", "mc2:derate=0.5@40%",
-        "mc0:off@10%..50%,mc3:derate=0.3@30%..90%",
-        "mc1:off@25%..75%,mc2:off@50%..60%"})
-    schedules.push_back(FaultSchedule::parse(text).value().resolved(kHorizon));
 
   util::Xoshiro256 rng(21);
   for (int i = 0; i < 10'000; ++i) {
@@ -104,19 +95,6 @@ TEST(NodeAnalytic, SingleSocketReducesToChipModel) {
     // The node's makespan composition may round differently, no more.
     ASSERT_NEAR(one.bandwidth, chip.bandwidth, 1e-12 * chip.bandwidth);
     ASSERT_EQ(one.remote_fraction, 0.0);
-
-    const FaultSchedule& schedule = schedules[i % schedules.size()];
-    const ScheduledEstimate chip_sched = estimate_bandwidth_scheduled(
-        physical, threads[0], kCal, kMap, kGhz, {}, schedule, kHorizon);
-    const ScheduledNodeEstimate node_sched = estimate_node_bandwidth_scheduled(
-        ss, threads, kCal, kMap, node, kGhz, {}, schedule, kHorizon);
-    ASSERT_EQ(chip_sched.epochs.size(), node_sched.epochs.size());
-    for (std::size_t e = 0; e < chip_sched.epochs.size(); ++e)
-      ASSERT_TRUE(same_bits(chip_sched.epochs[e].estimate,
-                            node_sched.epochs[e].estimate.sockets[0].chip))
-          << "input " << i << " epoch " << e;
-    ASSERT_TRUE(same_bits(chip_sched.whole, node_sched.whole.sockets[0].chip))
-        << "input " << i << " schedule " << schedule.describe();
   }
 }
 
@@ -184,33 +162,6 @@ TEST(NodeAnalytic, SocketDerateSlowsRemoteService) {
   // Socket 0's fills are served by the half-speed socket 1 at twice the
   // per-line cost; the node as a whole slows down.
   EXPECT_LT(derated.bandwidth, 0.8 * healthy.bandwidth);
-}
-
-TEST(NodeAnalytic, ScheduledComposeWithEpochWeights) {
-  const arch::NodeTopology node;
-  const NodeInput remote = two_sockets(node, /*remote=*/true);
-  constexpr arch::Cycles kHorizon = 1'000'000;
-  const FaultSchedule schedule =
-      FaultSchedule::parse("link0-1:derate=0.5@500000").value();
-  const ScheduledNodeEstimate est = estimate_node_bandwidth_scheduled(
-      remote.streams, remote.threads, kCal, kMap, node, kGhz, FaultSpec{},
-      schedule, kHorizon);
-  ASSERT_EQ(est.epochs.size(), 2u);
-  EXPECT_EQ(est.epochs[0].begin, 0u);
-  EXPECT_EQ(est.epochs[0].end, 500'000u);
-  EXPECT_EQ(est.epochs[1].end, kHorizon);
-  EXPECT_EQ(est.epochs[0].faults, "healthy");
-  EXPECT_NE(est.epochs[1].faults.find("link0-1:derate"), std::string::npos);
-  // The derated epoch halves the link cap; the whole-run figure is the
-  // epoch-length-weighted mean, strictly between the two.
-  EXPECT_LT(est.epochs[1].estimate.bandwidth, est.epochs[0].estimate.bandwidth);
-  EXPECT_GT(est.whole.bandwidth, est.epochs[1].estimate.bandwidth);
-  EXPECT_LT(est.whole.bandwidth, est.epochs[0].estimate.bandwidth);
-  EXPECT_NEAR(est.whole.bandwidth,
-              (est.epochs[0].estimate.bandwidth +
-               est.epochs[1].estimate.bandwidth) /
-                  2.0,
-              0.01 * est.whole.bandwidth);
 }
 
 // The analytic node model must track the Node DES where the link is the

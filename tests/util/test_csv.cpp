@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <unistd.h>
 
 namespace mcopt::util {
 namespace {
@@ -16,10 +18,14 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
+// ctest runs each case as its own process, possibly concurrently: every
+// case writes a file of its own (pid plus test name).
 class CsvTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = testing::TempDir() + "/mcopt_csv_test.csv";
+  std::string path_ =
+      testing::TempDir() + "/mcopt_csv_" + std::to_string(::getpid()) + "_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name() + ".csv";
 };
 
 TEST_F(CsvTest, WritesHeaderAndRows) {
