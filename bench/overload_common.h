@@ -16,12 +16,12 @@
 //       door instead of thrashing);
 //   I4  every non-completed job carries a typed shed reason.
 //
-// All rates live on the executor's virtual cycle clock, so the invariants
-// are timing-independent: real-thread scheduling can change *which* jobs
-// are admitted at the margin, never whether the accounting balances.
+// All rates live on the executor's virtual cycle clock, and jobs are
+// submitted in lockstep with it (submit_lockstep). A healthy sweep point is
+// a pure function of its parameters at any worker count; a degraded one is
+// at one worker (see submit_lockstep for why not at more).
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <string>
 #include <thread>
@@ -41,19 +41,8 @@ struct OverloadParams {
   /// Mean deadline slack, as a multiple of the job's healthy service time
   /// (each job draws its own slack in [0.5, 1.5] of this).
   double deadline_slack = 12.0;
-  /// Include LBM jobs in the mix. Off by default: the LBM body runs OpenMP
-  /// inside (excluded from TSan builds), and its D3Q19 traffic dwarfs the
-  /// other kernels' — triad/Jacobi keep the sweep fast and TSan-clean.
-  bool include_lbm = false;
   /// Ground-truth fault timeline (virtual cycles; must be resolved).
   sim::FaultSchedule truth{};
-  /// When false, job bodies are skipped: pure admission/accounting sweeps.
-  bool run_kernels = true;
-  /// Real-time pace of the virtual clock during submission. Open-loop means
-  /// arrivals happen on a wall schedule: without pacing, submission would
-  /// outrun the workers arbitrarily and the physical queue depth (a real-vs-
-  /// virtual-speed artifact) would starve the low lane forever.
-  double pace_ns_per_cycle = 0.5;
 };
 
 struct OverloadResult {
@@ -101,20 +90,16 @@ inline std::vector<GeneratedJob> generate_load(
   jobs.reserve(params.jobs);
   for (unsigned i = 0; i < params.jobs; ++i) {
     GeneratedJob j;
-    const std::uint64_t kind_draw = rng.below(params.include_lbm ? 10 : 8);
-    if (kind_draw < 4) {
+    // Triad and Jacobi, half each: serial bodies with no OpenMP inside, so
+    // the sweep stays fast and TSan-clean.
+    if (rng.below(8) < 4) {
       j.spec.kind = JobKind::kTriad;
       j.spec.n = std::size_t{1024} << rng.below(3);
-      j.spec.iterations = 1 + static_cast<unsigned>(rng.below(4));
-    } else if (kind_draw < 8) {
+    } else {
       j.spec.kind = JobKind::kJacobi;
       j.spec.n = 32 + 16 * rng.below(4);
-      j.spec.iterations = 1 + static_cast<unsigned>(rng.below(4));
-    } else {
-      j.spec.kind = JobKind::kLbm;
-      j.spec.n = 8 + 4 * rng.below(3);
-      j.spec.iterations = 1;
     }
+    j.spec.iterations = 1 + static_cast<unsigned>(rng.below(4));
     const double prio_draw = rng.uniform();
     j.spec.priority = prio_draw < 0.2   ? Priority::kHigh
                       : prio_draw < 0.8 ? Priority::kNormal
@@ -206,16 +191,50 @@ inline OverloadParams overload_chaos_params(std::uint64_t seed, unsigned jobs,
   params.jobs = jobs;
   params.seed = seed;
   params.num_workers = workers;
-#ifdef MCOPT_TSAN
-  // Instrumentation slows real execution 10-20x; slow the open-loop replay
-  // clock with it (see OverloadParams::pace_ns_per_cycle).
-  params.pace_ns_per_cycle = 20.0;
-#endif
   util::Xoshiro256 rng(seed * 0x9e3779b97f4a7c15ULL + 1);
   const arch::InterleaveSpec spec{};
   params.truth = random_overload_schedule(rng, spec.num_controllers())
                      .resolved(overload_horizon(params));
   return params;
+}
+
+/// Submits arrival-ordered `jobs` in lockstep with the executor's virtual
+/// clock; the one way the soaks submit. Each batch holds dequeue, submits
+/// every job arriving by max(virtual_now, next arrival) + `lead`, releases,
+/// and waits until every job submitted so far has reported. Pops then act on
+/// a fully determined queue (the reservation runs under the queue lock), and
+/// no job still running can commit a replan after the next batch is priced.
+/// So every service window, expiry and sojourn is a function of the job
+/// stream alone, whatever the submitter/worker timing. The one exception:
+/// with more than one worker, the supervisor sees a batch's samples in
+/// completion order, so under faults a replan can land at a different
+/// point of a batch (ROADMAP item 6).
+///
+/// `lead` is the window in which later arrivals contend for queue order.
+/// The service soak mixes 16 x max_service of arrivals so WFQ has flows to
+/// interleave. The overload sweep needs 0, i.e. a batch is what has arrived
+/// by the time the server is free: with any lead, a high-priority job that
+/// arrives later reserves the server ahead of an earlier one and pushes it
+/// past the projection it was admitted on (I1 fails, and I3 at longer
+/// leads).
+template <class Job, class ArrivalOf, class Submit>
+void submit_lockstep(runtime::exec::Executor& ex, const std::vector<Job>& jobs,
+                     arch::Cycles lead, ArrivalOf arrival_of, Submit submit) {
+  std::size_t reported = 0;
+  std::size_t i = 0;
+  while (i < jobs.size()) {
+    const arch::Cycles frontier =
+        std::max(ex.virtual_now(), arrival_of(jobs[i])) + lead;
+    ex.hold_dequeue();
+    while (i < jobs.size() && arrival_of(jobs[i]) <= frontier)
+      submit(jobs[i++]);
+    ex.release_dequeue();
+    const std::uint64_t submitted = ex.stats().submitted;
+    while (reported < submitted) {
+      reported += ex.reports_tail(reported).size();
+      if (reported < submitted) std::this_thread::yield();
+    }
+  }
 }
 
 inline OverloadResult run_overload(const OverloadParams& params) {
@@ -225,7 +244,6 @@ inline OverloadResult run_overload(const OverloadParams& params) {
   cfg.lane_capacity = {32, 128, 64};
   cfg.truth = params.truth;
   cfg.seed = params.seed;
-  cfg.run_kernels = params.run_kernels;
 
   const PricingModel pricing(cfg.pricing);
   const auto jobs = generate_load(params, pricing);
@@ -245,21 +263,10 @@ inline OverloadResult run_overload(const OverloadParams& params) {
   cfg.admission_margin = 2 * max_service;
 
   Executor ex(cfg);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& j : jobs) {
-    // Pace submission to the virtual arrival schedule: job i is submitted
-    // when the wall clock reaches arrival_i * pace.
-    const double due_ns =
-        static_cast<double>(j.spec.arrival) * params.pace_ns_per_cycle;
-    for (;;) {
-      const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-      if (static_cast<double>(elapsed) >= due_ns) break;
-      std::this_thread::yield();
-    }
-    (void)ex.submit(j.spec);
-  }
+  submit_lockstep(
+      ex, jobs, /*lead=*/0,
+      [](const GeneratedJob& j) { return j.spec.arrival; },
+      [&](const GeneratedJob& j) { (void)ex.submit(j.spec); });
   ex.shutdown(Executor::Drain::kDrain);
 
   out.stats = ex.stats();

@@ -25,10 +25,8 @@
 // are timing-independent and every failure replays from its seed.
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "overload_common.h"
@@ -45,6 +43,11 @@ enum class TenantBehavior : unsigned {
   kMidRunFaulter     ///< cancels ~30% of its accepted jobs mid-flight
 };
 inline constexpr unsigned kNumTenantBehaviors = 5;
+
+/// Sum of well-behaved offered load, as a fraction of the mix capacity.
+inline constexpr double kWellBehavedLoad = 0.70;
+/// Tenant quota as a multiple of its weight-proportional fair rate.
+inline constexpr double kQuotaHeadroom = 1.5;
 
 [[nodiscard]] constexpr const char* to_string(TenantBehavior b) noexcept {
   switch (b) {
@@ -64,24 +67,15 @@ struct ServiceSoakParams {
   unsigned target_jobs = 1'000'000;
   std::uint64_t seed = 1;
   unsigned num_workers = 4;
-  /// Sum of well-behaved offered load, as a fraction of the mix capacity.
-  double well_behaved_load = 0.70;
   /// Share of tenants drawn adversarial (uniform over the attacker kinds).
   double attacker_fraction = 0.02;
   /// Attacker offered rate as a multiple of its own quota.
   double attacker_overdrive = 4.0;
-  /// Tenant quota as a multiple of its weight-proportional fair rate.
-  double quota_headroom = 1.5;
   /// Ground-truth controller-fault timeline (virtual cycles; resolved).
   sim::FaultSchedule truth{};
-  bool run_kernels = false;  ///< accounting mode by default at this scale
   /// Solo baseline: attacker submissions skipped (tenant registry and every
   /// well-behaved job stream are bit-identical to the unmuted run).
   bool mute_attackers = false;
-  /// Real ns per virtual cycle for open-loop pacing; 0 = unpaced. Unpaced
-  /// is sound here because every invariant lives on virtual time and the
-  /// lanes are sized to hold the whole mix (no physical-depth artifacts).
-  double pace_ns_per_cycle = 0.0;
 };
 
 /// The job shapes tenants draw from, with healthy quotes priced once.
@@ -160,10 +154,9 @@ inline std::vector<TenantPlan> plan_tenants(const ServiceSoakParams& params,
     TenantPlan& p = plans[i];
     p.config.name =
         std::string(to_string(p.behavior)) + "-" + std::to_string(i + 1);
-    const double fair_rate = params.well_behaved_load *
-                             capacity_bytes_per_cycle * p.config.weight /
-                             total_weight;
-    p.config.quota_bytes_per_s = params.quota_headroom * fair_rate * clock_hz;
+    const double fair_rate = kWellBehavedLoad * capacity_bytes_per_cycle *
+                             p.config.weight / total_weight;
+    p.config.quota_bytes_per_s = kQuotaHeadroom * fair_rate * clock_hz;
     // Bucket depth must hold a few of the largest jobs, or a small-weight
     // tenant could never submit one at all — quota caps the *rate*, not the
     // job size. (S4's allowance includes the depth, so this stays honest.)
@@ -180,7 +173,7 @@ inline std::vector<TenantPlan> plan_tenants(const ServiceSoakParams& params,
     const bool floods = p.behavior == TenantBehavior::kBurstFlood ||
                         p.behavior == TenantBehavior::kQuotaOscillator;
     p.offered_bytes_per_cycle =
-        floods ? params.attacker_overdrive * params.quota_headroom * fair_rate
+        floods ? params.attacker_overdrive * kQuotaHeadroom * fair_rate
                : fair_rate;
     // Per-tenant stream RNG: muting one tenant cannot shift another's draws.
     p.rng_seed = params.seed * 1000003ULL + i + 1;
@@ -314,14 +307,15 @@ inline ServiceSoakResult run_service_soak(const ServiceSoakParams& params) {
 
   ServiceConfig scfg;
   scfg.executor.num_workers = params.num_workers;
-  // Lanes sized to hold the entire mix: physical queue depth is a real-vs-
-  // virtual-speed artifact and must not shed anything in an unpaced
-  // accounting soak.
+  // Lanes sized to hold the entire mix: physical queue depth must not shed
+  // anything in an accounting soak.
   scfg.executor.lane_capacity = {std::size_t{1} << 21, std::size_t{1} << 21,
                                  std::size_t{1} << 21};
   scfg.executor.truth = params.truth;
   scfg.executor.seed = params.seed;
-  scfg.executor.run_kernels = params.run_kernels;
+  // Accounting mode: at this scale the invariants are about virtual time,
+  // not kernel output.
+  scfg.executor.run_kernels = false;
 
   const runtime::exec::PricingModel pricing(scfg.executor.pricing);
   const auto shapes = service_job_shapes(pricing);
@@ -387,47 +381,16 @@ inline ServiceSoakResult run_service_soak(const ServiceSoakParams& params) {
     }
   };
 
-  if (params.pace_ns_per_cycle > 0.0) {
-    // Wall-paced replay: arrivals land in real time, workers free-run.
-    // Reservation order then depends on physical timing — useful for
-    // watching the service live, not for the seeded invariant gates.
-    const auto t0 = std::chrono::steady_clock::now();
-    for (const SoakJob& j : jobs) {
-      const double due_ns =
-          static_cast<double>(j.arrival) * params.pace_ns_per_cycle;
-      while (static_cast<double>(
-                 std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count()) < due_ns)
-        std::this_thread::yield();
-      submit_one(j);
-    }
-  } else {
-    // Lockstep batched submission: every WFQ reservation — and with it
-    // every virtual service window and sojourn — must be a pure function
-    // of the job stream, not of real thread timing. Free-running workers
-    // race the submitter: which jobs are physically queued at each pop
-    // instant decides the WFQ pick, and an A/A rerun drifts per-tenant
-    // mean sojourns by up to ~1.4x — more than the isolation gates allow.
-    // So arrivals are published in deterministic batches: hold dequeue,
-    // push every job arriving within `lead` of the batch head, release,
-    // and wait for the queue to empty. Each pop then acts on a fully
-    // determined set (the reserve hook runs under the same queue lock),
-    // the soak replays bit-identically from its seed, and the muted solo
-    // baseline is a true A/B against the adversarial mix. `lead` is the
-    // WFQ mixing window: jobs arriving within it contend for order.
-    const arch::Cycles lead = 16 * max_service;
-    std::size_t i = 0;
-    while (i < jobs.size()) {
-      const arch::Cycles frontier =
-          std::max(svc.executor().virtual_now(), jobs[i].arrival) + lead;
-      svc.executor().hold_dequeue();
-      while (i < jobs.size() && jobs[i].arrival <= frontier)
-        submit_one(jobs[i++]);
-      svc.executor().release_dequeue();
-      while (svc.executor().queued() > 0) std::this_thread::yield();
-    }
-  }
+  // Lockstep submission: free-running workers race the submitter, and which
+  // jobs are physically queued at each pop decides the WFQ pick (an A/A
+  // rerun drifted per-tenant mean sojourns by up to ~1.4x, more than the
+  // isolation gates allow). Lockstep batches make a healthy soak replay
+  // bit-identically from its seed, so the muted solo baseline is a true A/B
+  // against the adversarial mix. The 16 x max_service lead is the WFQ
+  // mixing window.
+  submit_lockstep(
+      svc.executor(), jobs, 16 * max_service,
+      [](const SoakJob& j) { return j.arrival; }, submit_one);
   svc.shutdown(runtime::exec::Executor::Drain::kDrain);
 
   out.exec_stats = svc.executor().stats();

@@ -2,43 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 namespace mcopt::arch {
-
-std::vector<std::uint64_t> AddressMap::controller_histogram(
-    Addr base, std::size_t bytes) const {
-  std::vector<std::uint64_t> hist(spec_.num_controllers(), 0);
-  if (bytes == 0) return hist;
-  const Addr first = line_base(base);
-  const Addr last = line_base(base + bytes - 1);
-  for (Addr a = first; a <= last; a += spec_.line_size())
-    ++hist[controller_of(a)];
-  return hist;
-}
-
-std::vector<std::uint64_t> AddressMap::lockstep_histogram(
-    std::span<const Addr> stream_bases, std::uint64_t lines_per_stream) const {
-  std::vector<std::uint64_t> hist(spec_.num_controllers(), 0);
-  for (std::uint64_t k = 0; k < lines_per_stream; ++k)
-    for (Addr base : stream_bases)
-      ++hist[controller_of(base + k * spec_.line_size())];
-  return hist;
-}
-
-double AddressMap::histogram_uniformity(std::span<const std::uint64_t> histogram) {
-  if (histogram.empty())
-    throw std::invalid_argument("histogram_uniformity: empty histogram");
-  std::uint64_t total = 0;
-  std::uint64_t max_bin = 0;
-  for (std::uint64_t b : histogram) {
-    total += b;
-    max_bin = std::max(max_bin, b);
-  }
-  if (max_bin == 0)
-    throw std::invalid_argument("histogram_uniformity: all-zero histogram");
-  return static_cast<double>(total) /
-         (static_cast<double>(histogram.size()) * static_cast<double>(max_bin));
-}
 
 double AddressMap::lockstep_balance(std::span<const Addr> stream_bases,
                                     std::uint64_t lines_per_stream) const {

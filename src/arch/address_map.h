@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace mcopt::arch {
 
@@ -90,22 +89,6 @@ class AddressMap {
   [[nodiscard]] constexpr bool same_controller(Addr a, Addr b) const noexcept {
     return controller_of(a) == controller_of(b);
   }
-
-  /// Per-controller line counts for a contiguous [base, base+bytes) region.
-  [[nodiscard]] std::vector<std::uint64_t> controller_histogram(
-      Addr base, std::size_t bytes) const;
-
-  /// Per-controller line counts for a set of stream base addresses, counting
-  /// one line per stream per "step" as all streams advance in lock-step for
-  /// `lines_per_stream` lines. This mirrors how a load/store loop touches its
-  /// operand streams and is the quantity the balance model needs.
-  [[nodiscard]] std::vector<std::uint64_t> lockstep_histogram(
-      std::span<const Addr> stream_bases, std::uint64_t lines_per_stream) const;
-
-  /// Uniformity of a histogram in (0, 1]: total / (num_bins * max_bin).
-  /// 1.0 = perfectly uniform; 1/num_bins = everything in one bin.
-  [[nodiscard]] static double histogram_uniformity(
-      std::span<const std::uint64_t> histogram);
 
   /// Instantaneous controller-concurrency balance of a set of lock-stepped
   /// streams, the quantity behind the paper's Fig. 2/4 aliasing dips.

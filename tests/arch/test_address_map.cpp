@@ -69,26 +69,6 @@ INSTANTIATE_TEST_SUITE_P(AddressSweep, PeriodicityTest,
                          ::testing::Values(0, 64, 100, 127, 128, 255, 256, 384,
                                            511, 4096, 65536, (Addr{1} << 32) + 192));
 
-TEST(AddressMap, ContiguousRegionHistogramIsUniform) {
-  const AddressMap map;
-  // Any whole number of 512-byte periods spreads lines evenly.
-  const auto hist = map.controller_histogram(0x4000, 512 * 16);
-  for (std::uint64_t bin : hist) EXPECT_EQ(bin, 512u * 16 / 64 / 4);
-  EXPECT_DOUBLE_EQ(AddressMap::histogram_uniformity(hist), 1.0);
-}
-
-TEST(AddressMap, EmptyRegionHistogramIsZero) {
-  const AddressMap map;
-  const auto hist = map.controller_histogram(0, 0);
-  for (std::uint64_t bin : hist) EXPECT_EQ(bin, 0u);
-}
-
-TEST(AddressMap, HistogramUniformityRejectsDegenerate) {
-  EXPECT_THROW((void)AddressMap::histogram_uniformity({}), std::invalid_argument);
-  const std::vector<std::uint64_t> zeros(4, 0);
-  EXPECT_THROW((void)AddressMap::histogram_uniformity(zeros), std::invalid_argument);
-}
-
 TEST(LockstepBalance, CongruentBasesAreWorstCase) {
   const AddressMap map;
   // Three streams, all congruent mod 512: every step lands on one MC.
